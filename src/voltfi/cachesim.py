@@ -150,6 +150,14 @@ class CacheModel:
     The backing store may be a MainMemory or another CacheModel (multi-level
     by composition). Faults corrupt data bits only, never tags or state
     bits. The tick counter advances by one per access.
+
+    `_slot` maps the line address of each resident line whose stuck-at masks
+    are applied to its slot, so a hit costs one dict lookup and the set scan
+    of `_touch` runs only on a miss. Permanent stuck-at faults become per-slot
+    byte (AND, OR) masks applied after each fill and each store: only those
+    two events change a line's bytes, and fault bits are distinct, so
+    re-applying the masks on any other access would change nothing. Flips and
+    timed faults stay in `_bindings` and apply on every access.
     """
 
     def __init__(self, geometry: CacheGeometry, backing):
@@ -158,10 +166,14 @@ class CacheModel:
         self.geometry = geometry
         self.backing = backing
         n = geometry.num_lines
+        self._lb = geometry.line_bytes
         self._tags = [-1] * n
         self._dirty = [False] * n
         self._lru = [0] * n
-        self._data = [bytearray(geometry.line_bytes) for _ in range(n)]
+        self._data = [memoryview(bytearray(geometry.line_bytes)) for _ in range(n)]  # slice stores into a view are cheaper
+        self._slot: dict[int, int] = {}
+        self._masks = [()] * n  # slot -> ((byte, and mask, or mask), ...)
+        self._n_stuck = 0
         self._bindings: dict[int, list[_Binding]] = {}
         self.tick = 0
 
@@ -181,25 +193,36 @@ class CacheModel:
                 f"{self.geometry.capacity_bits} bits"
             )
         self._bindings = {}
+        masks = [{} for _ in self._masks]  # slot -> byte -> (and mask, or mask)
+        self._n_stuck = 0
         for f in fmap.faults:
             addr = map_fault_to_cache(f.location.linear(fmap.geometry), self.geometry)
             li = addr.set * self.geometry.associativity + addr.way
-            self._bindings.setdefault(li, []).append(_Binding(addr.bit_in_line, f.kind, f.timing))
+            if f.timing.mode is TimingMode.PERMANENT and f.kind is not CorruptionKind.BIT_FLIP:
+                byte, bit = addr.bit_in_line >> 3, 1 << (addr.bit_in_line & 7)
+                a, o = masks[li].get(byte, (0xFF, 0))
+                masks[li][byte] = (a & ~bit, o) if f.kind is CorruptionKind.STUCK_AT_0 else (a, o | bit)
+                self._n_stuck += 1
+            else:
+                self._bindings.setdefault(li, []).append(_Binding(addr.bit_in_line, f.kind, f.timing))
+        self._masks = [tuple((i, a, o) for i, (a, o) in sorted(m.items())) for m in masks]
+        self._slot = {}  # resident lines take the new masks on their next access
 
     def fault_binding_count(self) -> int:
-        return sum(len(v) for v in self._bindings.values())
+        return self._n_stuck + sum(len(v) for v in self._bindings.values())
 
     # -- access path --------------------------------------------------------
 
     def _touch(self, addr: int, n: int) -> int:
-        """Bring the line holding [addr, addr+n) resident; returns line slot."""
+        """Miss path: bring the line holding [addr, addr+n) resident with its
+        stuck-at masks applied; returns its slot."""
         if addr < 0 or addr + n > self.backing.size:
             raise CrashSignal(CrashReason.OUT_OF_RANGE)
-        geo = self.geometry
-        lb = geo.line_bytes
+        lb = self._lb
         la = addr // lb
         if (addr + n - 1) // lb != la:
             raise ValueError("request spans a cache line boundary")
+        geo = self.geometry
         ns = geo.num_sets
         si = la % ns
         tag = la // ns
@@ -208,25 +231,23 @@ class CacheModel:
         tags = self._tags
         for li in range(base, base + assoc):
             if tags[li] == tag:
-                return li
-        # miss: pick invalid way first, else LRU victim
-        lru = self._lru
-        victim = -1
-        best = None
-        for li in range(base, base + assoc):
-            if tags[li] < 0:
-                victim = li
-                break
-            if best is None or lru[li] < best:
-                best = lru[li]
-                victim = li
-        buf = self._data[victim]
-        if tags[victim] >= 0 and self._dirty[victim]:
-            self.backing.write((tags[victim] * ns + si) * lb, bytes(buf))
-        buf[:] = self.backing.read(la * lb, lb)
-        tags[victim] = tag
-        self._dirty[victim] = False
-        return victim
+                break  # resident from before the last install_fault_map
+        else:
+            # miss: an invalid way (lru 0) first, else the LRU victim (ticks are distinct)
+            li = min(range(base, base + assoc), key=self._lru.__getitem__)
+            old = tags[li]
+            if old >= 0:
+                self._slot.pop(old * ns + si, None)
+                if self._dirty[li]:
+                    self.backing.write((old * ns + si) * lb, bytes(self._data[li]))
+            self._data[li][:] = self.backing.read(la * lb, lb)
+            tags[li] = tag
+            self._dirty[li] = False
+        buf = self._data[li]
+        for i, a, o in self._masks[li]:
+            buf[i] = buf[i] & a | o
+        self._slot[la] = li
+        return li
 
     def _apply_faults(self, li: int, tick: int) -> None:
         bl = self._bindings.get(li)
@@ -264,20 +285,30 @@ class CacheModel:
         """Read access; returns (line buffer, offset of addr within it)."""
         tick = self.tick + 1
         self.tick = tick
-        li = self._touch(addr, n)
+        lb = self._lb
+        off = addr % lb
+        li = self._slot.get(addr // lb)
+        if li is None or off + n > lb:
+            li = self._touch(addr, n)
         if self._bindings:
             self._apply_faults(li, tick)
         self._lru[li] = tick
-        return self._data[li], addr % self.geometry.line_bytes
+        return self._data[li], off
 
     def store(self, addr: int, data: bytes) -> None:
         """Write access; merges payload into the stored line."""
         tick = self.tick + 1
         self.tick = tick
         n = len(data)
-        li = self._touch(addr, n)
-        off = addr % self.geometry.line_bytes
-        self._data[li][off:off + n] = data
+        lb = self._lb
+        off = addr % lb
+        li = self._slot.get(addr // lb)
+        if li is None or off + n > lb:
+            li = self._touch(addr, n)
+        buf = self._data[li]
+        buf[off:off + n] = data
+        for i, a, o in self._masks[li]:
+            buf[i] = buf[i] & a | o
         self._dirty[li] = True
         if self._bindings:
             self._apply_faults(li, tick)
@@ -312,4 +343,6 @@ class CacheModel:
                 self.backing.write((self._tags[li] * ns + si) * lb, bytes(self._data[li]))
             self._tags[li] = -1
             self._dirty[li] = False
+            self._lru[li] = 0
+        self._slot.clear()
         self.backing.flush()

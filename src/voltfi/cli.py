@@ -104,13 +104,22 @@ def read_index(out: Path) -> list[dict]:
     if not lines or lines[0] != INDEX_HEADER:
         raise RuntimeError(f"bad corpus index header in {out / INDEX_NAME}")
     entries = []
-    for line in lines[1:]:
-        method, sram_id, voltage, count, path = line.split(",")
+    for n, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise RuntimeError(f"{INDEX_NAME} line {n}: expected 5 fields, got {len(fields)}")
+        method, sram_id, voltage, count, path = fields
+        if method not in _METHOD_BY_TOKEN:
+            raise RuntimeError(f"{INDEX_NAME} line {n}: unknown method {method!r}")
+        try:
+            voltage_mv, fault_count = int(voltage), int(count)
+        except ValueError:
+            raise RuntimeError(f"{INDEX_NAME} line {n}: voltage_mv and fault_count must be integers") from None
         entries.append({
             "method": method,
             "sram_id": sram_id,
-            "voltage_mv": int(voltage),
-            "fault_count": int(count),
+            "voltage_mv": voltage_mv,
+            "fault_count": fault_count,
             "path": path,
         })
     return entries

@@ -120,7 +120,8 @@ def avg_relative_error(golden_vec: np.ndarray, faulty_vec: np.ndarray) -> float:
     f = np.asarray(faulty_vec, dtype=np.float64)
     if g.shape != f.shape or g.size == 0:
         raise ValueError("vectors must be non-empty and equal length")
-    err = np.abs(g - f) / np.maximum(np.abs(g), 1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are clamped just below
+        err = np.abs(g - f) / np.maximum(np.abs(g), 1e-12)
     err = np.where(np.isfinite(err) & (err < 1.0), err, 1.0)
     return float(err.mean())
 

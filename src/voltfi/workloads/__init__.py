@@ -20,7 +20,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..cachesim import CacheGeometry, CacheModel, CrashReason, MainMemory
-from .memory import FlatStore, Region, SimMemory
+from .memory import Region, SimMemory
 
 DEFAULT_STEP_BUDGET = 5_000_000
 
@@ -127,7 +127,7 @@ def run_workload(cfg: WorkloadConfig, fault_map=None,
 def run_flat(cfg: WorkloadConfig) -> WorkloadResult:
     """Reference run against a flat store with no cache in the path."""
     lay = get(cfg.benchmark).layout(cfg)
-    mem = SimMemory(FlatStore(lay.mem_size), lay.regions, cfg.step_budget)
+    mem = SimMemory(MainMemory(lay.mem_size), lay.regions, cfg.step_budget)
     return get(cfg.benchmark).run(cfg, mem)
 
 

@@ -98,9 +98,10 @@ def boundary_segment(x: float, y: float) -> int:
         s = 2.0 + (1.0 - x)
     else:
         s = 3.0 + (1.0 - y)
-    if not math.isfinite(s):
+    scaled = s * (SEGMENTS / 4.0)
+    if not math.isfinite(scaled):  # a finite s near the float limit can overflow here
         raise CrashSignal(CrashReason.NON_FINITE_CONTROL)
-    seg = int(s * (SEGMENTS / 4.0))
+    seg = int(scaled)
     if seg < 0:
         return 0
     return seg if seg < SEGMENTS else SEGMENTS - 1
@@ -129,6 +130,7 @@ def run(cfg: WorkloadConfig, mem: SimMemory) -> WorkloadResult:
     lf = mem.load_f64
     lu64 = mem.load_u64
     charge = mem.charge
+    budget = mem.step_budget
     cos = math.cos
     sin = math.sin
     try:
@@ -145,6 +147,8 @@ def run(cfg: WorkloadConfig, mem: SimMemory) -> WorkloadResult:
                 charge(1)
                 x = x0
                 y = y0
+                # steps are charged to mem.ops once the walk ends; room is what the budget has left
+                room = budget - mem.ops
                 steps = 0
                 while True:
                     d = x
@@ -157,9 +161,12 @@ def run(cfg: WorkloadConfig, mem: SimMemory) -> WorkloadResult:
                     if d < EPSILON:
                         break
                     if steps >= step_cap:
+                        mem.ops += steps
+                        raise CrashSignal(CrashReason.STEP_BUDGET_EXCEEDED)
+                    if steps >= room:
+                        mem.ops += steps + 1
                         raise CrashSignal(CrashReason.STEP_BUDGET_EXCEEDED)
                     steps += 1
-                    charge(1)
                     lane = ctr & 3
                     if lane == 0:
                         word = lu64(pool_a + 8 * ((ctr >> 2) % POOL_WORDS))
@@ -167,6 +174,7 @@ def run(cfg: WorkloadConfig, mem: SimMemory) -> WorkloadResult:
                     ang = ((word >> (16 * lane)) & 0xFFFF) * _ANGLE_SCALE
                     x += d * cos(ang)
                     y += d * sin(ang)
+                mem.ops += steps
                 acc += lf(g_a + 8 * boundary_segment(x, y))
             mem.store_f64(out + 8 * i, acc / nw if nw else 0.0)
     except CrashSignal as c:

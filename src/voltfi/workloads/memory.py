@@ -22,16 +22,41 @@ from ..cachesim import CrashReason, CrashSignal
 TAB_BASE = 0x0
 DATA_BASE = 0x18000
 
-_F64 = struct.Struct("<d")
-_U64 = struct.Struct("<Q")
-_U32 = struct.Struct("<I")
+# A flat store (line_bytes 0) has no lines; blocks of this size give it the same bytes.
+FLAT_BLOCK = 64
 
-_pack_f64 = _F64.pack
-_pack_u64 = _U64.pack
-_pack_u32 = _U32.pack
-_unpack_f64 = _F64.unpack_from
-_unpack_u64 = _U64.unpack_from
-_unpack_u32 = _U32.unpack_from
+
+def _typed(fmt: str):
+    """Class-level (load, store) methods for one little-endian struct format.
+
+    An access inside one line that lies wholly within a region (`_lines`)
+    needs no span check; any other address takes the span check and, across
+    a line boundary, the split path.
+    """
+    codec = struct.Struct(fmt)
+    size, pack, unpack, unpack_from = codec.size, codec.pack, codec.unpack, codec.unpack_from
+
+    def load(self, addr: int):
+        lb = self._lb
+        if addr % lb > lb - size:
+            self._check(addr, size)
+            return unpack(self._read_split(addr, size))[0]
+        if addr // lb not in self._lines:
+            self._check(addr, size)
+        buf, off = self._load(addr, size)
+        return unpack_from(buf, off)[0]
+
+    def store(self, addr: int, value) -> None:
+        lb = self._lb
+        if addr % lb > lb - size:
+            self._check(addr, size)
+            self._write_split(addr, pack(value))
+            return
+        if addr // lb not in self._lines:
+            self._check(addr, size)
+        self._store(addr, pack(value))
+
+    return load, store
 
 
 @dataclass(frozen=True)
@@ -43,31 +68,6 @@ class Region:
     @property
     def end(self) -> int:
         return self.base + self.size
-
-
-class FlatStore:
-    """Cache-less store with the same access protocol; reference runs only."""
-
-    line_bytes = 0
-
-    def __init__(self, size: int):
-        self.size = size
-        self.buf = bytearray(size)
-
-    def load(self, addr: int, n: int):
-        return self.buf, addr
-
-    def store(self, addr: int, data: bytes) -> None:
-        self.buf[addr:addr + len(data)] = data
-
-    def read(self, addr: int, n: int) -> bytes:
-        return bytes(self.buf[addr:addr + n])
-
-    def write(self, addr: int, data: bytes) -> None:
-        self.buf[addr:addr + len(data)] = data
-
-    def flush(self) -> None:
-        pass
 
 
 class SimMemory:
@@ -83,7 +83,8 @@ class SimMemory:
         self.store = store
         self.regions = {r.name: r for r in regions}
         self._spans = tuple(spans)
-        self._lb = store.line_bytes
+        self._lb = lb = store.line_bytes or FLAT_BLOCK
+        self._lines = frozenset(la for lo, hi in spans for la in range(-(-lo // lb), hi // lb))
         self._load = store.load
         self._store = store.store
         self.step_budget = step_budget
@@ -126,65 +127,10 @@ class SimMemory:
 
     # -- typed accessors -----------------------------------------------------
 
-    def load_f64(self, addr: int) -> float:
-        self._check(addr, 8)
-        lb = self._lb
-        if lb and addr % lb > lb - 8:
-            return _F64.unpack(self._read_split(addr, 8))[0]
-        buf, off = self._load(addr, 8)
-        return _unpack_f64(buf, off)[0]
-
-    def store_f64(self, addr: int, value: float) -> None:
-        self._check(addr, 8)
-        lb = self._lb
-        data = _pack_f64(value)
-        if lb and addr % lb > lb - 8:
-            self._write_split(addr, data)
-        else:
-            self._store(addr, data)
-
-    def load_u64(self, addr: int) -> int:
-        self._check(addr, 8)
-        lb = self._lb
-        if lb and addr % lb > lb - 8:
-            return _U64.unpack(self._read_split(addr, 8))[0]
-        buf, off = self._load(addr, 8)
-        return _unpack_u64(buf, off)[0]
-
-    def store_u64(self, addr: int, value: int) -> None:
-        self._check(addr, 8)
-        lb = self._lb
-        data = _pack_u64(value)
-        if lb and addr % lb > lb - 8:
-            self._write_split(addr, data)
-        else:
-            self._store(addr, data)
-
-    def load_u32(self, addr: int) -> int:
-        self._check(addr, 4)
-        lb = self._lb
-        if lb and addr % lb > lb - 4:
-            return _U32.unpack(self._read_split(addr, 4))[0]
-        buf, off = self._load(addr, 4)
-        return _unpack_u32(buf, off)[0]
-
-    def store_u32(self, addr: int, value: int) -> None:
-        self._check(addr, 4)
-        lb = self._lb
-        data = _pack_u32(value)
-        if lb and addr % lb > lb - 4:
-            self._write_split(addr, data)
-        else:
-            self._store(addr, data)
-
-    def load_u8(self, addr: int) -> int:
-        self._check(addr, 1)
-        buf, off = self._load(addr, 1)
-        return buf[off]
-
-    def store_u8(self, addr: int, value: int) -> None:
-        self._check(addr, 1)
-        self._store(addr, bytes((value,)))
+    load_f64, store_f64 = _typed("<d")
+    load_u64, store_u64 = _typed("<Q")
+    load_u32, store_u32 = _typed("<I")
+    load_u8, store_u8 = _typed("<B")
 
     # -- bulk helpers ---------------------------------------------------------
 

@@ -91,6 +91,30 @@ def test_report_malformed_row_exit_2(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+def run_with_index_line(tmp_path, line):
+    out = tmp_path / "out"
+    out.mkdir(parents=True)
+    (out / "index.csv").write_text(f"{INDEX_HEADER}\nhw,s00,540,2,maps/s00/hw_540.fm\n{line}\n")
+    return main(["--out", str(out), "run"])
+
+
+def test_index_wrong_field_count_exit_2(tmp_path, capsys):
+    assert run_with_index_line(tmp_path, "hw,s00,540,2") == 2
+    assert "index.csv line 3: expected 5 fields, got 4" in capsys.readouterr().err
+
+
+def test_index_non_integer_voltage_or_count_exit_2(tmp_path, capsys):
+    assert run_with_index_line(tmp_path / "v", "hw,s00,low,2,maps/s00/hw_low.fm") == 2
+    assert "index.csv line 3: voltage_mv and fault_count must be integers" in capsys.readouterr().err
+    assert run_with_index_line(tmp_path / "c", "hw,s00,540,two,maps/s00/hw_540.fm") == 2
+    assert "index.csv line 3: voltage_mv and fault_count must be integers" in capsys.readouterr().err
+
+
+def test_index_unknown_method_exit_2(tmp_path, capsys):
+    assert run_with_index_line(tmp_path, "sw,s00,540,2,maps/s00/sw_540.fm") == 2
+    assert "index.csv line 3: unknown method 'sw'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # genmaps
 # ---------------------------------------------------------------------------

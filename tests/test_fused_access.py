@@ -1,0 +1,238 @@
+"""Differential tests of the fused access path against `reference_access`.
+
+The fused path (`voltfi.cachesim.CacheModel` with its line-to-slot dict and
+stuck-at masks, and `voltfi.workloads.memory.SimMemory` with its typed
+accessor factory) must be indistinguishable from the per-access model kept
+in `tests/reference_access.py`: the same values, the same crash at the same
+step, the same ticks and ops, and the same backing-store bytes.
+"""
+
+import struct
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import reference_access as ref
+from voltfi.cachesim import CacheGeometry, CacheModel, CrashSignal, MainMemory
+from voltfi.faultmap import (
+    BitLocation,
+    CorpusParams,
+    CorruptionKind,
+    FaultMap,
+    FaultSpec,
+    FaultTiming,
+    SramGeometry,
+    generate_corpus,
+    match_random_map,
+)
+from voltfi.rng import make_rng, substream
+from voltfi.workloads import BENCHMARKS, WorkloadConfig, WorkloadResult, build_memory, get, run_workload
+from voltfi.workloads.memory import Region, SimMemory
+
+SRAM = SramGeometry()
+GEO = CacheGeometry()               # 16 sets x 2 ways x 64 B
+L2_GEO = CacheGeometry(8, 4, 64)    # same 16,384 bits, another shape
+SIZE = 4096                         # twice the cache: constant eviction
+# region edges off line boundaries, so partial lines take the span check
+REGIONS = (Region("tables", 0, 200), Region("data", 1000, 2000), Region("tail", 3100, 900))
+EDGES = sorted({e for r in REGIONS for e in (r.base, r.end)})
+FORMATS = {"f64": "<d", "u64": "<Q", "u32": "<I", "u8": "<B"}
+STEP_BUDGET = 60
+
+timings = st.one_of(
+    st.just(FaultTiming.permanent()),
+    st.builds(FaultTiming.transient, st.integers(0, 300)),
+    st.builds(FaultTiming.intermittent, st.integers(0, 300), st.integers(1, 80)),
+)
+fault_maps = st.lists(
+    st.tuples(st.integers(0, SRAM.capacity - 1), st.sampled_from(list(CorruptionKind)), timings),
+    max_size=400, unique_by=lambda f: f[0],
+).map(lambda faults: FaultMap("t", 540, SRAM, tuple(
+    FaultSpec(BitLocation(b // SRAM.cols, b % SRAM.cols), timing, kind) for b, kind, timing in faults)))
+addresses = st.one_of(
+    st.integers(0, SIZE // 8 - 1).map(lambda w: 8 * w),         # aligned words
+    st.integers(1, SIZE // 64 - 1).map(lambda line: 64 * line - 3),  # line-crossing
+    st.sampled_from(EDGES).flatmap(lambda e: st.integers(e - 12, e + 4)),  # around region edges
+    st.integers(-24, SIZE + 24),                              # anywhere, negative and past the end
+)
+accesses = st.one_of(
+    st.tuples(st.just("load"), st.sampled_from(sorted(FORMATS)), addresses),
+    st.tuples(st.just("store"), st.sampled_from(sorted(FORMATS)), addresses, st.binary(min_size=8, max_size=8)),
+)
+traces = st.lists(st.one_of(
+    accesses, accesses, accesses, accesses, accesses, accesses,
+    st.tuples(st.just("charge"), st.integers(1, 8)),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("install"), st.integers(0, 1)),
+), max_size=250)
+
+
+def build_stack(cache_cls, mem_cls, two_level, l1_map, l2_map):
+    """SimMemory over an L1 (and optionally an L2) cache; returns (mem, caches top-down, root)."""
+    root = MainMemory(SIZE)
+    caches = []
+    if two_level:
+        caches.append(cache_cls(L2_GEO, root))
+        caches[0].install_fault_map(l2_map)
+    caches.insert(0, cache_cls(GEO, caches[0] if caches else root))
+    caches[0].install_fault_map(l1_map)
+    return mem_cls(caches[0], REGIONS, STEP_BUDGET), caches, root
+
+
+def replay(mem, l1, maps, trace):
+    """Run the trace; one observation per step (a value's bytes or a crash reason)."""
+    seen = []
+    for op in trace:
+        try:
+            if op[0] == "load":
+                fmt = FORMATS[op[1]]
+                seen.append(struct.pack(fmt, getattr(mem, "load_" + op[1])(op[2])))
+            elif op[0] == "store":
+                fmt = FORMATS[op[1]]
+                value = struct.unpack_from(fmt, op[3])[0]
+                getattr(mem, "store_" + op[1])(op[2], value)
+                seen.append(None)
+            elif op[0] == "charge":
+                mem.charge(op[1])
+                seen.append(mem.ops)
+            elif op[0] == "flush":
+                mem.flush()
+                seen.append(None)
+            else:
+                l1.install_fault_map(maps[op[1]])
+                seen.append(l1.fault_binding_count())
+        except CrashSignal as c:
+            seen.append(c.reason)
+    return seen
+
+
+def stuck_map(*faults):
+    """A map of permanent faults given as (linear bit, kind)."""
+    return FaultMap("t", 540, SRAM, tuple(
+        FaultSpec(BitLocation(b // SRAM.cols, b % SRAM.cols), FaultTiming.permanent(), kind) for b, kind in faults))
+
+
+NO_FAULTS = stuck_map()
+SLOT0_BIT0_STUCK0 = stuck_map((0, CorruptionKind.STUCK_AT_0))        # set 0, way 0
+SLOT1_BIT0_STUCK1 = stuck_map((8192, CorruptionKind.STUCK_AT_1))     # set 0, way 1
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(trace=traces, l1_maps=st.lists(fault_maps, min_size=2, max_size=2), l2_map=fault_maps,
+       two_level=st.booleans())
+# a map installed over a resident line applies on that line's next access
+@example(trace=[("store", "u8", 1024, bytes(8 * [255])), ("install", 1), ("load", "u8", 1024)],
+         l1_maps=[NO_FAULTS, SLOT0_BIT0_STUCK0], l2_map=NO_FAULTS, two_level=False)
+# after a flush a line fills the first way of its set, whatever the old LRU order
+@example(trace=[("store", "u8", 1024, bytes(8)), ("load", "u8", 2048), ("load", "u8", 1024), ("flush",),
+                ("load", "u8", 1024)],
+         l1_maps=[SLOT1_BIT0_STUCK1, NO_FAULTS], l2_map=NO_FAULTS, two_level=False)
+def test_fused_path_matches_reference_on_random_traces(trace, l1_maps, l2_map, two_level):
+    runs = []
+    for cache_cls, mem_cls in ((CacheModel, SimMemory), (ref.CacheModel, ref.SimMemory)):
+        mem, caches, root = build_stack(cache_cls, mem_cls, two_level, l1_maps[0], l2_map)
+        seen = replay(mem, caches[0], l1_maps, trace)
+        ticks = [c.tick for c in caches]
+        counts = [c.fault_binding_count() for c in caches]
+        mem.flush()
+        runs.append((seen, ticks, counts, mem.ops, bytes(root.buf)))
+    assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# whole kernels over a fixed corpus
+# ---------------------------------------------------------------------------
+
+
+def _mixed_map(sram_id, seed):
+    """Stuck-at-0/1 and flips with all three timings, drawn from a fixed stream."""
+    rng = make_rng(seed)
+    bits = rng.choice(SRAM.capacity, size=12, replace=False)
+    faults = []
+    for i, b in enumerate(sorted(int(b) for b in bits)):
+        kind = list(CorruptionKind)[i % 3]
+        timing = (FaultTiming.permanent(), FaultTiming.transient(int(rng.integers(1 << 14))),
+                  FaultTiming.intermittent(int(rng.integers(1 << 14)), int(rng.integers(1, 4096))))[(i // 3) % 3]
+        faults.append(FaultSpec(BitLocation(b // SRAM.cols, b % SRAM.cols), timing, kind))
+    return FaultMap(sram_id, 540, SRAM, tuple(faults))
+
+
+PROBE = FaultMap("probe", 540, SRAM, (
+    FaultSpec(BitLocation(0, 62), FaultTiming.permanent(), CorruptionKind.STUCK_AT_1),
+    FaultSpec(BitLocation(64, 62), FaultTiming.permanent(), CorruptionKind.STUCK_AT_1),
+))
+
+
+def _corpus():
+    hw = next(m for m in generate_corpus(12, CorpusParams(), 1234) if m.fault_count >= 6)
+    return [hw, match_random_map(hw, substream(1234, 1, 0, 0)), _mixed_map("mix0", 5), _mixed_map("mix1", 6), PROBE]
+
+
+CORPUS = _corpus()
+
+
+def run_reference(cfg, fmap):
+    lay = get(cfg.benchmark).layout(cfg)
+    lb = GEO.line_bytes
+    cache = ref.CacheModel(GEO, MainMemory(((lay.mem_size + lb - 1) // lb) * lb))
+    cache.install_fault_map(fmap)
+    mem = ref.SimMemory(cache, lay.regions, cfg.step_budget)
+    return get(cfg.benchmark).run(cfg, mem), mem
+
+
+@pytest.mark.parametrize("map_index", range(len(CORPUS)))
+@pytest.mark.parametrize("bench", BENCHMARKS)
+def test_fused_path_matches_reference_on_kernels(bench, map_index):
+    fmap = CORPUS[map_index]
+    cfg = WorkloadConfig(bench, step_budget=300_000)
+    mem = build_memory(cfg, fault_map=fmap)
+    got = get(bench).run(cfg, mem)
+    want, ref_mem = run_reference(cfg, fmap)
+    assert (got.crash_reason, got.data) == (want.crash_reason, want.data)
+    assert (mem.ops, mem.store.tick) == (ref_mem.ops, ref_mem.store.tick)
+
+
+# ---------------------------------------------------------------------------
+# mc's step count, kept in a local between charges
+# ---------------------------------------------------------------------------
+
+
+def test_mc_step_budget_crash_counts_the_exceeding_step():
+    cfg = WorkloadConfig("mc", step_budget=50_000)
+    mem = build_memory(cfg)
+    r = get("mc").run(cfg, mem)
+    assert r.crash_reason is not None and r.crash_reason.value == "step_budget_exceeded"
+    assert mem.ops == 50_001
+
+
+def test_mc_walk_step_cap_crash_counts_steps_taken():
+    # one charge for the point, one for the walk, then three steps; the cap
+    # check comes before the fourth step is charged
+    cfg = WorkloadConfig("mc", params={"walk_step_cap": 3})
+    mem = build_memory(cfg)
+    r = get("mc").run(cfg, mem)
+    assert r.crash_reason is not None and r.crash_reason.value == "step_budget_exceeded"
+    assert mem.ops == 5
+
+
+# ---------------------------------------------------------------------------
+# robustness: only CrashSignal may leave a kernel, whatever the faults
+# ---------------------------------------------------------------------------
+
+kernel_maps = st.lists(
+    st.tuples(st.integers(0, SRAM.capacity - 1), st.sampled_from(list(CorruptionKind)),
+              st.one_of(st.just(FaultTiming.permanent()),
+                        st.builds(FaultTiming.transient, st.integers(0, 20_000)),
+                        st.builds(FaultTiming.intermittent, st.integers(0, 20_000), st.integers(1, 4096)))),
+    min_size=1, max_size=24, unique_by=lambda f: f[0],
+).map(lambda faults: FaultMap("h", 540, SRAM, tuple(
+    FaultSpec(BitLocation(b // SRAM.cols, b % SRAM.cols), timing, kind) for b, kind, timing in faults)))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(bench=st.sampled_from(BENCHMARKS), fmap=kernel_maps)
+@example(bench="mc", fmap=PROBE)
+def test_kernels_end_as_result_under_any_faults(bench, fmap):
+    result = run_workload(WorkloadConfig(bench, step_budget=20_000), fault_map=fmap)
+    assert isinstance(result, WorkloadResult)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,13 @@ def test_avg_relative_error_examples():
     assert avg_relative_error(np.array([1.0]), np.array([math.inf])) == 1.0
     with pytest.raises(ValueError):
         avg_relative_error(np.array([1.0]), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("faulty", [1e308, math.inf, math.nan])
+def test_avg_relative_error_clamps_without_numpy_warnings(faulty):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert avg_relative_error(np.array([1e-300]), np.array([faulty])) == 1.0
 
 
 def test_avg_relative_error_matches_brute_force():

@@ -301,6 +301,23 @@ def test_mc_non_finite_boundary_parameter_crashes():
     assert e.value.reason is CrashReason.NON_FINITE_CONTROL
 
 
+def test_mc_huge_finite_boundary_parameter_crashes():
+    # both coordinates finite, but the perimeter parameter overflows once
+    # scaled to a segment index
+    with pytest.raises(CrashSignal) as e:
+        mc_mod.boundary_segment(-1e308, -1e307)
+    assert e.value.reason is CrashReason.NON_FINITE_CONTROL
+
+
+@pytest.mark.parametrize("x, y, seg", [
+    (0.3, 0.01, 19), (0.99, 0.5, 96), (0.5, 0.999, 160), (0.001, 0.4, 230),
+    (0.5, 1e300, 160), (-1e300, 0.2, 243), (1e300, 0.5, 96), (0.5, -1e300, 32),
+    (-1e300, -1e301, 0), (-1e306, 1e307, 255),
+])
+def test_mc_boundary_segment_of_finite_parameters(x, y, seg):
+    assert mc_mod.boundary_segment(x, y) == seg
+
+
 def test_sobel_masked_stuck0_is_bitwise_golden():
     # a dim image (pixels <= 15) keeps bit 7 of every image byte zero, and
     # sets 8..15 never hold table lines, so this stuck-at-0 can never fire
