@@ -331,6 +331,36 @@ class CacheModel:
     def write(self, addr: int, data: bytes) -> None:
         self.store(addr, data)
 
+    # -- periodic-state jump -------------------------------------------------
+
+    def cycle_state(self):
+        """Everything the rest of a run reads, as a value compared byte for
+        byte; None while a transient or intermittent fault can still fire or
+        the backing store is not a MainMemory.
+
+        LRU ticks enter only as each set's rank order, which is all that
+        victim choice reads; the bindings left then ignore the tick.
+        """
+        if not isinstance(self.backing, MainMemory):
+            return None
+        tick = self.tick
+        for bl in self._bindings.values():
+            for b in bl:
+                if b.mode is TimingMode.TRANSIENT or (b.mode is TimingMode.INTERMITTENT and b.end_tick > tick):
+                    return None
+        lru = self._lru
+        assoc = self.geometry.associativity
+        ranks = tuple(tuple(sorted(range(base, base + assoc), key=lru.__getitem__))
+                      for base in range(0, len(lru), assoc))
+        return (bytes(self.backing.buf), b"".join(self._data), tuple(self._tags), tuple(self._dirty),
+                ranks, tuple(sorted(self._slot.values())))
+
+    def advance(self, since: int, dtick: int) -> None:
+        """Move the clock on by dtick, as repeats of the accesses made after
+        tick `since` would: each LRU tick newer than `since` moves with it."""
+        self.tick += dtick
+        self._lru[:] = [t + dtick if t > since else t for t in self._lru]
+
     def flush(self) -> None:
         """Write back all dirty lines and invalidate; idempotent."""
         geo = self.geometry

@@ -21,7 +21,11 @@ from .workloads import BENCHMARKS, DEFAULT_STEP_BUDGET
 
 
 class ConfigError(ValueError):
-    pass
+    """A bad config; `keys` names the config keys it is about."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
 
 
 DEFAULTS: dict[str, str] = {
@@ -47,9 +51,10 @@ DEFAULTS: dict[str, str] = {
 _METHOD_TOKENS = {"hw": "HW_FI", "rnd": "RND_FI"}
 
 
-def parse_config_text(text: str) -> dict[str, str]:
-    """Parse overrides from config text; '#' comments and blank lines allowed."""
-    overrides: dict[str, str] = {}
+def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
+    """Parse overrides from config text into key -> (value, line number);
+    '#' comments and blank lines allowed."""
+    overrides: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -59,7 +64,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        overrides[key] = value
+        overrides[key] = (value, lineno)
     return overrides
 
 
@@ -85,22 +90,33 @@ class CampaignConfig:
 
     def __post_init__(self):
         if self.n_srams < 1:
-            raise ConfigError("corpus.n_srams must be >= 1")
+            raise ConfigError("corpus.n_srams must be >= 1", "corpus.n_srams")
         if self.jobs < 0:
-            raise ConfigError("run.jobs must be >= 0 (0 = all cores)")
+            raise ConfigError("run.jobs must be >= 0 (0 = all cores)", "run.jobs")
         unknown = [b for b in self.benchmarks if b not in BENCHMARKS]
         if unknown:
-            raise ConfigError(f"unknown benchmarks: {', '.join(unknown)}")
+            raise ConfigError(f"unknown benchmarks: {', '.join(unknown)}", "campaign.benchmarks")
         bad_v = [v for v in self.voltages if v not in VOLTAGE_SWEEP_MV]
         if bad_v:
-            raise ConfigError(f"voltages outside the sweep {VOLTAGE_SWEEP_MV}: {bad_v}")
+            raise ConfigError(f"voltages outside the sweep {VOLTAGE_SWEEP_MV}: {bad_v}", "campaign.voltages")
         bad_m = [m for m in self.methods if m not in ("HW_FI", "RND_FI")]
         if bad_m:
-            raise ConfigError(f"unknown methods: {bad_m}")
+            raise ConfigError(f"unknown methods: {bad_m}", "campaign.methods")
+        if self.step_budget < 1:
+            raise ConfigError("workload.step_budget must be >= 1", "workload.step_budget")
+        for build, keys in ((self.sram_geometry, ("corpus.rows", "corpus.cols")),
+                            (self.cache_geometry, ("cache.num_sets", "cache.associativity", "cache.line_bytes")),
+                            (self.corpus_params, ("corpus.faulty_fraction", "spatial.mean_run_length",
+                                                  "spatial.gap_probability", "spatial.outlier_probability"))):
+            try:
+                build()
+            except ValueError as e:
+                raise ConfigError(str(e), *keys) from None
         if self.cache_geometry().capacity_bits != self.sram_geometry().capacity:
             raise ConfigError(
                 "cache capacity must equal SRAM capacity "
-                f"({self.cache_geometry().capacity_bits} != {self.sram_geometry().capacity} bits)"
+                f"({self.cache_geometry().capacity_bits} != {self.sram_geometry().capacity} bits)",
+                "corpus.rows", "corpus.cols", "cache.num_sets", "cache.associativity", "cache.line_bytes",
             )
 
     def sram_geometry(self) -> SramGeometry:
@@ -127,13 +143,13 @@ def _build(values: dict[str, str]) -> CampaignConfig:
         try:
             return int(values[key])
         except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {values[key]!r}") from None
+            raise ConfigError(f"{key} must be an integer, got {values[key]!r}", key) from None
 
     def getf(key):
         try:
             return float(values[key])
         except ValueError:
-            raise ConfigError(f"{key} must be a number, got {values[key]!r}") from None
+            raise ConfigError(f"{key} must be a number, got {values[key]!r}", key) from None
 
     def getlist(key):
         return tuple(tok.strip() for tok in values[key].split(",") if tok.strip())
@@ -141,12 +157,12 @@ def _build(values: dict[str, str]) -> CampaignConfig:
     methods = []
     for tok in getlist("campaign.methods"):
         if tok not in _METHOD_TOKENS:
-            raise ConfigError(f"campaign.methods tokens must be hw/rnd, got {tok!r}")
+            raise ConfigError(f"campaign.methods tokens must be hw/rnd, got {tok!r}", "campaign.methods")
         methods.append(_METHOD_TOKENS[tok])
     try:
         voltages = tuple(int(v) for v in getlist("campaign.voltages"))
     except ValueError:
-        raise ConfigError("campaign.voltages must be integers") from None
+        raise ConfigError("campaign.voltages must be integers", "campaign.voltages") from None
     return CampaignConfig(
         n_srams=geti("corpus.n_srams"),
         seed=geti("corpus.seed"),
@@ -170,13 +186,25 @@ def _build(values: dict[str, str]) -> CampaignConfig:
 
 def load_config(path: str | None = None, *, seed: int | None = None,
                 jobs: int | None = None) -> CampaignConfig:
-    """Merge defaults, an optional config file, and CLI flag overrides."""
+    """Merge defaults, an optional config file, and CLI flag overrides.
+
+    A value error about keys set from the file starts with `line N:`."""
     values = dict(DEFAULTS)
+    lines: dict[str, int] = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            values.update(parse_config_text(fh.read()))
+            for key, (value, lineno) in parse_config_text(fh.read()).items():
+                values[key] = value
+                lines[key] = lineno
     if seed is not None:
         values["corpus.seed"] = str(seed)
     if jobs is not None:
         values["run.jobs"] = str(jobs)
-    return _build(values)
+        lines.pop("run.jobs", None)
+    try:
+        return _build(values)
+    except ConfigError as e:  # name the first file line of the keys at fault
+        at = min((lines[k] for k in e.keys if k in lines), default=None)
+        if at is None:
+            raise
+        raise ConfigError(f"line {at}: {e}", *e.keys) from None

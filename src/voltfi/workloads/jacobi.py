@@ -91,7 +91,8 @@ def run(cfg: WorkloadConfig, mem: SimMemory) -> WorkloadResult:
     try:
         init(cfg, mem)
         xo, xn = x0, x1
-        for _ in range(max_iters):
+        it = 0
+        while it < max_iters:
             delta = 0.0
             for i in range(n):
                 mem.charge(n)
@@ -120,6 +121,8 @@ def run(cfg: WorkloadConfig, mem: SimMemory) -> WorkloadResult:
                 break  # diverged; emit the garbage iterate like a real solver
             if delta < stop:
                 break
+            it += 1
+            it += mem.skip_periods(max_iters - it, xo)
     except CrashSignal as c:
         return WorkloadResult.crash(c.reason)
     lay = Layout(lay.regions, lay.mem_size, xo, n * 8, "f64", (n,))

@@ -103,7 +103,8 @@ def run(cfg: WorkloadConfig, mem: SimMemory) -> WorkloadResult:
     inf = math.inf
     try:
         init(cfg, mem)
-        for _ in range(max_iters):
+        it = 0
+        while it < max_iters:
             changed = 0
             for i in range(n):
                 mem.charge(k)
@@ -144,6 +145,8 @@ def run(cfg: WorkloadConfig, mem: SimMemory) -> WorkloadResult:
                     sf(ca + 8, lf(sums + 16 * c + 8) / cnt)
             if changed == 0:
                 break
+            it += 1
+            it += mem.skip_periods(max_iters - it)
     except CrashSignal as c:
         return WorkloadResult.crash(c.reason)
     return finish(mem, lay)

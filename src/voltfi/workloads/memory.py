@@ -17,7 +17,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from ..cachesim import CrashReason, CrashSignal
+from ..cachesim import CacheModel, CrashReason, CrashSignal
 
 TAB_BASE = 0x0
 DATA_BASE = 0x18000
@@ -89,12 +89,53 @@ class SimMemory:
         self._store = store.store
         self.step_budget = step_budget
         self.ops = 0
+        self.skipped_iterations = 0
+        self._saved = None  # (state, ops, tick) that skip_periods compares with
+        self._power = self._lam = 0
 
     def charge(self, n: int = 1) -> None:
         """Account primitive kernel operations against the step budget."""
         self.ops += n
         if self.ops > self.step_budget:
             raise CrashSignal(CrashReason.STEP_BUDGET_EXCEEDED)
+
+    def skip_periods(self, left: int, extra=None) -> int:
+        """Skip whole periods of a run whose full state repeats.
+
+        A kernel calls this at each outer-iteration boundary with the number
+        of iterations it may still run and its loop-carried locals as
+        `extra`, and adds the returned count of skipped iterations to its
+        counter. Brent's method keeps one saved state, replaced at power-of-
+        two distances, and compares the current one with it byte for byte.
+        On a match p iterations apart, whole periods are skipped: no more
+        than `left` iterations, and no more than the step budget allows, so
+        a budget crash comes at the same op in the tail that runs normally.
+        """
+        cache = self.store
+        state = cache.cycle_state() if isinstance(cache, CacheModel) else None
+        if state is None:
+            self._saved = None
+            return 0
+        state = (state, extra)
+        saved = self._saved
+        if saved is not None:
+            self._lam += 1
+            if state == saved[0]:
+                p, dops, tick = self._lam, self.ops - saved[1], saved[2]
+                k = left // p
+                if dops:
+                    k = min(k, (self.step_budget - self.ops) // dops)
+                if k > 0:
+                    self.ops += k * dops
+                    cache.advance(tick, k * (cache.tick - tick))
+                    self.skipped_iterations += k * p
+                    self._saved = None  # its ops and tick no longer lie one period back
+                    return k * p
+        if saved is None or self._lam == self._power:
+            self._saved = (state, self.ops, cache.tick)
+            self._power = 2 * self._power if saved else 1
+            self._lam = 0
+        return 0
 
     def _check(self, addr: int, n: int) -> None:
         for lo, hi in self._spans:

@@ -223,6 +223,9 @@ class SimMemory:
         if self.ops > self.step_budget:
             raise CrashSignal(CrashReason.STEP_BUDGET_EXCEEDED)
 
+    def skip_periods(self, left: int, extra=None) -> int:  # never jumps: runs every iteration
+        return 0
+
     def _check(self, addr: int, n: int) -> None:
         for lo, hi in self._spans:
             if lo <= addr and addr + n <= hi:

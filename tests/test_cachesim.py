@@ -183,6 +183,57 @@ def test_intermittent_window():
     assert buf[off] == 0x00
 
 
+# ---------------------------------------------------------------------------
+# the state compared by the periodic-state jump
+# ---------------------------------------------------------------------------
+
+
+def state_after(*ops, fmap=None):
+    """cycle_state() of a fresh cache after ("load"|"store"|"zero"|"install", addr)
+    steps; "store" writes a byte 1, "zero" a byte 0."""
+    cache, _ = make_cache()
+    for op, addr in ops:
+        if op == "load":
+            cache.load(addr, 1)
+        elif op == "install":
+            cache.install_fault_map(fmap or fault_map([]))
+        else:
+            cache.store(addr, b"\x01" if op == "store" else b"\x00")
+    return cache.cycle_state()
+
+
+A, B, C = 0, 16 * 64, 32 * 64  # three lines of set 0 (two ways)
+
+
+def test_cycle_state_sees_each_sets_lru_order_not_its_ticks():
+    assert state_after(("load", A), ("load", B)) == state_after(("load", A), ("load", A), ("load", B))
+    assert state_after(("load", A), ("load", B)) != state_after(("load", A), ("load", B), ("load", A))
+
+
+def test_cycle_state_sees_tags_data_dirty_bits_and_backing_store():
+    base = state_after(("load", A), ("load", B))
+    assert state_after(("load", A), ("load", C)) != base                  # a tag
+    assert state_after(("zero", A), ("load", B)) != base                  # a dirty bit
+    assert state_after(("store", A), ("load", B)) != state_after(("store", A + 1), ("load", B))  # line bytes
+    assert state_after(("load", A), ("load", B), ("install", 0)) != base  # lines whose masks are not yet applied
+    # only the backing store differs: A is evicted and refilled, its stuck-at-1
+    # bit set again on the fill, once after a write-back of that bit and once not
+    stuck1 = fault_map([(0, CorruptionKind.STUCK_AT_1, FaultTiming.permanent())])
+    tail = (("load", B), ("load", C), ("load", B), ("load", A))
+    assert state_after(("install", 0), ("store", A), *tail, fmap=stuck1) != \
+        state_after(("install", 0), ("load", A), *tail, fmap=stuck1)
+
+
+def test_cycle_state_waits_for_timed_faults_and_needs_main_memory():
+    transient = fault_map([(0, CorruptionKind.BIT_FLIP, FaultTiming.transient(2))])  # on line A's slot
+    assert state_after(("install", 0), ("load", 64), fmap=transient) is None
+    assert state_after(("install", 0), ("load", 64), ("load", A), fmap=transient) is not None  # fired at tick 2
+    window = fault_map([(0, CorruptionKind.STUCK_AT_1, FaultTiming.intermittent(1, 3))])  # end_tick 4
+    assert state_after(("install", 0), *3 * [("load", 64)], fmap=window) is None
+    assert state_after(("install", 0), *4 * [("load", 64)], fmap=window) is not None
+    assert CacheModel(GEO, make_cache()[0]).cycle_state() is None  # an L2 below
+
+
 def test_tick_increments_per_access():
     cache, _ = make_cache()
     assert cache.tick == 0

@@ -45,7 +45,7 @@ def test_config_defaults_and_overrides():
     assert cfg.n_srams == 2060 and cfg.jobs == 0
     assert cfg.cache_geometry().capacity_bits == cfg.sram_geometry().capacity == 16384
     over = parse_config_text("corpus.n_srams = 99\n# comment\n\nrun.jobs = 4\n")
-    assert over == {"corpus.n_srams": "99", "run.jobs": "4"}
+    assert over == {"corpus.n_srams": ("99", 1), "run.jobs": ("4", 4)}
 
 
 def test_config_rejects_unknown_and_bad_values(tmp_path):
@@ -62,6 +62,21 @@ def test_config_rejects_unknown_and_bad_values(tmp_path):
     path = write_config(tmp_path, "cache.num_sets = 8\n")  # capacity mismatch
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# sizes\ncorpus.n_srams = x\n", "line 2: corpus.n_srams must be an integer, got 'x'"),
+    ("corpus.seed = 3\n\nspatial.gap_probability = often\n", "line 3: spatial.gap_probability must be a number"),
+    ("campaign.voltages = 540,low\n", "line 1: campaign.voltages must be integers"),
+    ("run.jobs = 2\ncorpus.n_srams = 0\n", "line 2: corpus.n_srams must be >= 1"),
+    ("corpus.seed = 3\ncache.num_sets = 0\n", "line 2: cache geometry fields must be >= 1"),
+    ("spatial.gap_probability = 1.5\n", "line 1: gap_probability must be in [0, 1)"),
+    ("\nworkload.step_budget = 0\n", "line 2: workload.step_budget must be >= 1"),
+])
+def test_config_value_error_names_its_line(tmp_path, capsys, text, message):
+    cfg = write_config(tmp_path, text)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "genmaps"]) == 1
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

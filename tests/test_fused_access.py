@@ -181,6 +181,11 @@ def run_reference(cfg, fmap):
     return get(cfg.benchmark).run(cfg, mem), mem
 
 
+# (benchmark, map index) -> iterations the periodic-state jump skips; the
+# jacobi run then crashes on the step budget in its tail, at ops 300,032
+JUMPS = {("jacobi", 1): 256, ("kmeans", 2): 44}
+
+
 @pytest.mark.parametrize("map_index", range(len(CORPUS)))
 @pytest.mark.parametrize("bench", BENCHMARKS)
 def test_fused_path_matches_reference_on_kernels(bench, map_index):
@@ -191,6 +196,86 @@ def test_fused_path_matches_reference_on_kernels(bench, map_index):
     want, ref_mem = run_reference(cfg, fmap)
     assert (got.crash_reason, got.data) == (want.crash_reason, want.data)
     assert (mem.ops, mem.store.tick) == (ref_mem.ops, ref_mem.store.tick)
+    assert mem.skipped_iterations == JUMPS.get((bench, map_index), 0)
+
+
+# ---------------------------------------------------------------------------
+# the periodic-state jump of jacobi and kmeans against plain execution
+# ---------------------------------------------------------------------------
+
+
+def with_fault(fmap, bit, kind, timing):
+    return FaultMap(fmap.sram_id, fmap.voltage_mv, fmap.geometry, fmap.faults + (
+        FaultSpec(BitLocation(bit // SRAM.cols, bit % SRAM.cols), timing, kind),))
+
+
+# CORPUS[1] makes jacobi cycle with period 4; Brent's method confirms it at
+# iteration 36 (about tick 78,000), and at max_iters 83 a jump taken there
+# leaves a three-iteration tail
+JUMP_ITERS = {"jacobi": 83, "kmeans": 24}
+# a flip that fires at iteration 46, after the cycle has started
+LATE_TRANSIENT = with_fault(CORPUS[1], 1900, CorruptionKind.BIT_FLIP, FaultTiming.transient(99_070))
+# a stuck-at-0 window open from tick 51,548 to 94,915, across the first repeat
+OPEN_WINDOW = with_fault(CORPUS[1], 4945, CorruptionKind.STUCK_AT_0, FaultTiming.intermittent(51_548, 43_367))
+
+
+def add_faults(fmap, extra):
+    used = {f.location.linear(SRAM) for f in fmap.faults}
+    for bit, kind, timing in extra:
+        if bit not in used:
+            used.add(bit)
+            fmap = with_fault(fmap, bit, kind, timing)
+    return fmap
+
+
+# random faults of every kind and timing, alone or on top of a map that makes
+# jacobi (CORPUS[1]) or kmeans (CORPUS[2]) cycle, so that many draws jump
+jump_maps = st.builds(add_faults, st.sampled_from((NO_FAULTS, CORPUS[1], CORPUS[2])), st.lists(
+    st.tuples(st.integers(0, SRAM.capacity - 1), st.sampled_from(list(CorruptionKind)),
+              st.one_of(st.just(FaultTiming.permanent()),
+                        st.builds(FaultTiming.transient, st.integers(0, 150_000)),
+                        st.builds(FaultTiming.intermittent, st.integers(0, 150_000), st.integers(1, 60_000)))),
+    max_size=12))
+
+
+def run_both(bench, fmap, step_budget):
+    cfg = WorkloadConfig(bench, step_budget=step_budget, params={"max_iters": JUMP_ITERS[bench]})
+    mem = build_memory(cfg, fault_map=fmap)
+    got = get(bench).run(cfg, mem)
+    want, ref_mem = run_reference(cfg, fmap)
+    assert (got.crash_reason, got.data) == (want.crash_reason, want.data)
+    assert (mem.ops, mem.store.tick) == (ref_mem.ops, ref_mem.store.tick)
+    if got.is_crash:  # not flushed, so its LRU ticks must agree too
+        assert mem.store._lru == ref_mem.store._lru
+    return mem.skipped_iterations
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(bench=st.sampled_from(("jacobi", "kmeans")), fmap=jump_maps, step_budget=st.sampled_from((60_000, 10**6)))
+@example(bench="jacobi", fmap=LATE_TRANSIENT, step_budget=10**6)
+@example(bench="jacobi", fmap=OPEN_WINDOW, step_budget=10**6)
+# the budget caps the jump at 10 periods, and the tail's first charge crashes
+# (ops 77,856), so the LRU ticks are compared as the jump left them
+@example(bench="jacobi", fmap=CORPUS[1], step_budget=77_824)
+def test_jump_matches_plain_execution(bench, fmap, step_budget):
+    run_both(bench, fmap, step_budget)
+
+
+@pytest.mark.parametrize("fmap, step_budget, skipped", [
+    (CORPUS[1], 10**6, 44),       # 11 periods from iteration 36 to the end
+    (LATE_TRANSIENT, 10**6, 28),  # no jump until the flip has fired
+    (OPEN_WINDOW, 10**6, 28),     # no jump until the window has closed
+    (CORPUS[1], 77_824, 40),      # 10 periods: an 11th would pass the budget
+])
+def test_jump_examples_jump(fmap, step_budget, skipped):
+    assert run_both("jacobi", fmap, step_budget) == skipped
+
+
+def test_jump_period_includes_the_loop_carried_locals():
+    # nothing but `extra` changes between boundaries, and it alternates: the period is 2, not 1
+    mem = build_memory(WorkloadConfig("jacobi"))
+    assert [mem.skip_periods(101, it % 2) for it in range(4)] == [0, 0, 0, 100]
+    assert (mem.skipped_iterations, mem.ops, mem.store.tick) == (100, 0, 0)
 
 
 # ---------------------------------------------------------------------------
