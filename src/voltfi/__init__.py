@@ -7,7 +7,6 @@ outcomes.
 """
 
 from .cachesim import (
-    AccessRequest,
     CacheBitAddr,
     CacheGeometry,
     CacheModel,
@@ -35,7 +34,6 @@ from .faultmap import (
     match_random_map,
     parse_fault_map,
     probability_heatmap,
-    sample_fault_count,
     serialize_fault_map,
 )
 from .harness import (
@@ -51,7 +49,7 @@ from .harness import (
     psnr,
     run_experiment,
 )
-from .workloads import BENCHMARKS, WorkloadConfig, WorkloadResult, run_flat, run_workload
+from .workloads import BENCHMARKS, WorkloadConfig, WorkloadResult, run_workload
 
 __version__ = "0.1.0"
 

@@ -66,27 +66,6 @@ class CacheBitAddr:
     bit_in_line: int
 
 
-@dataclass(frozen=True)
-class AccessRequest:
-    """One cache request; must not span a line boundary."""
-
-    kind: str  # "read" | "write"
-    address: int
-    length: int
-    payload: bytes | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("read", "write"):
-            raise ValueError(f"kind must be 'read' or 'write', got {self.kind!r}")
-        if self.length < 1:
-            raise ValueError("length must be >= 1")
-        if self.kind == "write":
-            if self.payload is None or len(self.payload) != self.length:
-                raise ValueError("write payload must match length")
-        elif self.payload is not None:
-            raise ValueError("read takes no payload")
-
-
 def map_fault_to_cache(linear_bit: int, geometry: CacheGeometry) -> CacheBitAddr:
     """Map an SRAM linear bit index onto (set, way, bit_in_line)."""
     if not 0 <= linear_bit < geometry.capacity_bits:
@@ -102,8 +81,6 @@ def map_fault_to_cache(linear_bit: int, geometry: CacheGeometry) -> CacheBitAddr
 class MainMemory:
     """Flat, fault-free backing store."""
 
-    line_bytes = 0  # no line granularity
-
     def __init__(self, size: int):
         self.size = size
         self.buf = bytearray(size)
@@ -113,19 +90,6 @@ class MainMemory:
 
     def write(self, addr: int, data: bytes) -> None:
         self.buf[addr:addr + len(data)] = data
-
-    def load(self, addr: int, n: int):
-        if addr < 0 or addr + n > self.size:
-            raise CrashSignal(CrashReason.OUT_OF_RANGE)
-        return self.buf, addr
-
-    def store(self, addr: int, data: bytes) -> None:
-        if addr < 0 or addr + len(data) > self.size:
-            raise CrashSignal(CrashReason.OUT_OF_RANGE)
-        self.buf[addr:addr + len(data)] = data
-
-    def flush(self) -> None:
-        pass
 
 
 class _Binding:
@@ -145,11 +109,10 @@ class _Binding:
 
 
 class CacheModel:
-    """Write-back, write-allocate, LRU cache over a backing store.
+    """Write-back, write-allocate, LRU cache over a MainMemory.
 
-    The backing store may be a MainMemory or another CacheModel (multi-level
-    by composition). Faults corrupt data bits only, never tags or state
-    bits. The tick counter advances by one per access.
+    Faults corrupt data bits only, never tags or state bits. The tick
+    counter advances by one per access.
 
     `_slot` maps the line address of each resident line whose stuck-at masks
     are applied to its slot, so a hit costs one dict lookup and the set scan
@@ -158,6 +121,7 @@ class CacheModel:
     two events change a line's bytes, and fault bits are distinct, so
     re-applying the masks on any other access would change nothing. Flips and
     timed faults stay in `_bindings` and apply on every access.
+    `workloads.memory.SimMemory` serves hits from these arrays itself.
     """
 
     def __init__(self, geometry: CacheGeometry, backing):
@@ -176,14 +140,6 @@ class CacheModel:
         self._n_stuck = 0
         self._bindings: dict[int, list[_Binding]] = {}
         self.tick = 0
-
-    @property
-    def size(self) -> int:
-        return self.backing.size
-
-    @property
-    def line_bytes(self) -> int:
-        return self.geometry.line_bytes
 
     def install_fault_map(self, fmap: FaultMap) -> None:
         """Bind every fault of the map; clears previously installed bindings."""
@@ -314,35 +270,15 @@ class CacheModel:
             self._apply_faults(li, tick)
         self._lru[li] = tick
 
-    def access(self, request: AccessRequest):
-        """Serve one request: returns bytes for reads, None for writes."""
-        if request.kind == "read":
-            buf, off = self.load(request.address, request.length)
-            return bytes(buf[off:off + request.length])
-        self.store(request.address, request.payload)
-        return None
-
-    # -- store protocol for composition -------------------------------------
-
-    def read(self, addr: int, n: int) -> bytes:
-        buf, off = self.load(addr, n)
-        return bytes(buf[off:off + n])
-
-    def write(self, addr: int, data: bytes) -> None:
-        self.store(addr, data)
-
     # -- periodic-state jump -------------------------------------------------
 
     def cycle_state(self):
         """Everything the rest of a run reads, as a value compared byte for
-        byte; None while a transient or intermittent fault can still fire or
-        the backing store is not a MainMemory.
+        byte; None while a transient or intermittent fault can still fire.
 
         LRU ticks enter only as each set's rank order, which is all that
         victim choice reads; the bindings left then ignore the tick.
         """
-        if not isinstance(self.backing, MainMemory):
-            return None
         tick = self.tick
         for bl in self._bindings.values():
             for b in bl:
@@ -375,4 +311,3 @@ class CacheModel:
             self._dirty[li] = False
             self._lru[li] = 0
         self._slot.clear()
-        self.backing.flush()

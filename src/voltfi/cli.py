@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .cachesim import CacheGeometry
-from .config import CampaignConfig, ConfigError, load_config
+from .config import METHOD_BY_TOKEN, CampaignConfig, ConfigError, load_config
 from .faultmap import (
     FaultMapFormatError,
     VOLTAGE_SWEEP_MV,
@@ -42,8 +42,6 @@ from .workloads import WorkloadConfig
 
 INDEX_NAME = "index.csv"
 INDEX_HEADER = "method,sram_id,voltage_mv,fault_count,path"
-
-_METHOD_BY_TOKEN = {"hw": "HW_FI", "rnd": "RND_FI"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,7 +107,7 @@ def read_index(out: Path) -> list[dict]:
         if len(fields) != 5:
             raise RuntimeError(f"{INDEX_NAME} line {n}: expected 5 fields, got {len(fields)}")
         method, sram_id, voltage, count, path = fields
-        if method not in _METHOD_BY_TOKEN:
+        if method not in METHOD_BY_TOKEN:
             raise RuntimeError(f"{INDEX_NAME} line {n}: unknown method {method!r}")
         try:
             voltage_mv, fault_count = int(voltage), int(count)
@@ -154,7 +152,7 @@ def cmd_run(cfg: CampaignConfig, out: Path) -> None:
     voltages = set(cfg.voltages)
     tasks = []
     for e in entries:
-        method = _METHOD_BY_TOKEN[e["method"]]
+        method = METHOD_BY_TOKEN[e["method"]]
         # only maps that manifest errors are simulated
         if e["fault_count"] < 1 or method not in cfg.methods or e["voltage_mv"] not in voltages:
             continue

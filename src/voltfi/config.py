@@ -1,7 +1,8 @@
 """Campaign configuration: flat `section.key = value` text files.
 
-Unknown keys are rejected; command-line flags override file values. All
-defaults are in DEFAULTS below.
+Unknown keys are rejected; command-line flags override file values. The
+defaults are the CampaignConfig field defaults; DEFAULTS spells them as a
+config file would.
 """
 
 from __future__ import annotations
@@ -28,27 +29,28 @@ class ConfigError(ValueError):
         self.keys = keys
 
 
-DEFAULTS: dict[str, str] = {
-    "corpus.n_srams": "2060",
-    "corpus.seed": "1",
-    "corpus.faulty_fraction": repr(DEFAULT_FAULTY_FRACTION),
-    "corpus.rows": "128",
-    "corpus.cols": "128",
-    "spatial.mean_run_length": "4.0",
-    "spatial.gap_probability": "0.2",
-    "spatial.outlier_probability": "0.05",
-    "cache.num_sets": "16",
-    "cache.associativity": "2",
-    "cache.line_bytes": "64",
-    "campaign.benchmarks": ",".join(BENCHMARKS),
-    "campaign.methods": "hw,rnd",
-    "campaign.voltages": ",".join(str(v) for v in VOLTAGE_SWEEP_MV),
-    "workload.seed": "0",
-    "workload.step_budget": str(DEFAULT_STEP_BUDGET),
-    "run.jobs": "0",
-}
+METHOD_BY_TOKEN = {"hw": "HW_FI", "rnd": "RND_FI"}
 
-_METHOD_TOKENS = {"hw": "HW_FI", "rnd": "RND_FI"}
+# config key -> CampaignConfig field
+_FIELDS = {
+    "corpus.n_srams": "n_srams",
+    "corpus.seed": "seed",
+    "corpus.faulty_fraction": "faulty_fraction",
+    "corpus.rows": "rows",
+    "corpus.cols": "cols",
+    "spatial.mean_run_length": "mean_run_length",
+    "spatial.gap_probability": "gap_probability",
+    "spatial.outlier_probability": "outlier_probability",
+    "cache.num_sets": "num_sets",
+    "cache.associativity": "associativity",
+    "cache.line_bytes": "line_bytes",
+    "campaign.benchmarks": "benchmarks",
+    "campaign.methods": "methods",
+    "campaign.voltages": "voltages",
+    "workload.seed": "workload_seed",
+    "workload.step_budget": "step_budget",
+    "run.jobs": "jobs",
+}
 
 
 def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
@@ -62,7 +64,7 @@ def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'section.key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in DEFAULTS:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         overrides[key] = (value, lineno)
     return overrides
@@ -99,7 +101,7 @@ class CampaignConfig:
         bad_v = [v for v in self.voltages if v not in VOLTAGE_SWEEP_MV]
         if bad_v:
             raise ConfigError(f"voltages outside the sweep {VOLTAGE_SWEEP_MV}: {bad_v}", "campaign.voltages")
-        bad_m = [m for m in self.methods if m not in ("HW_FI", "RND_FI")]
+        bad_m = [m for m in self.methods if m not in METHOD_BY_TOKEN.values()]
         if bad_m:
             raise ConfigError(f"unknown methods: {bad_m}", "campaign.methods")
         if self.step_budget < 1:
@@ -138,50 +140,42 @@ class CampaignConfig:
         )
 
 
-def _build(values: dict[str, str]) -> CampaignConfig:
-    def geti(key):
-        try:
-            return int(values[key])
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {values[key]!r}", key) from None
+def _spell(key: str, value) -> str:
+    """A field value as a config file writes it."""
+    if key == "campaign.methods":
+        token_of = {name: tok for tok, name in METHOD_BY_TOKEN.items()}
+        value = tuple(token_of[m] for m in value)
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
-    def getf(key):
-        try:
-            return float(values[key])
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {values[key]!r}", key) from None
 
-    def getlist(key):
-        return tuple(tok.strip() for tok in values[key].split(",") if tok.strip())
+DEFAULTS: dict[str, str] = {key: _spell(key, getattr(CampaignConfig, name)) for key, name in _FIELDS.items()}
 
-    methods = []
-    for tok in getlist("campaign.methods"):
-        if tok not in _METHOD_TOKENS:
-            raise ConfigError(f"campaign.methods tokens must be hw/rnd, got {tok!r}", "campaign.methods")
-        methods.append(_METHOD_TOKENS[tok])
+
+def _parse(key: str, text: str, default):
+    """A config value as the type of its field's default."""
+    if isinstance(default, tuple):
+        toks = tuple(tok.strip() for tok in text.split(",") if tok.strip())
+        if key == "campaign.methods":
+            for tok in toks:
+                if tok not in METHOD_BY_TOKEN:
+                    raise ConfigError(f"campaign.methods tokens must be hw/rnd, got {tok!r}", key)
+            return tuple(METHOD_BY_TOKEN[tok] for tok in toks)
+        if isinstance(default[0], int):
+            try:
+                return tuple(int(tok) for tok in toks)
+            except ValueError:
+                raise ConfigError(f"{key} must be integers", key) from None
+        return toks
+    kind, noun = (float, "a number") if isinstance(default, float) else (int, "an integer")
     try:
-        voltages = tuple(int(v) for v in getlist("campaign.voltages"))
+        return kind(text)
     except ValueError:
-        raise ConfigError("campaign.voltages must be integers", "campaign.voltages") from None
-    return CampaignConfig(
-        n_srams=geti("corpus.n_srams"),
-        seed=geti("corpus.seed"),
-        faulty_fraction=getf("corpus.faulty_fraction"),
-        rows=geti("corpus.rows"),
-        cols=geti("corpus.cols"),
-        mean_run_length=getf("spatial.mean_run_length"),
-        gap_probability=getf("spatial.gap_probability"),
-        outlier_probability=getf("spatial.outlier_probability"),
-        num_sets=geti("cache.num_sets"),
-        associativity=geti("cache.associativity"),
-        line_bytes=geti("cache.line_bytes"),
-        benchmarks=getlist("campaign.benchmarks"),
-        methods=tuple(methods),
-        voltages=voltages,
-        workload_seed=geti("workload.seed"),
-        step_budget=geti("workload.step_budget"),
-        jobs=geti("run.jobs"),
-    )
+        raise ConfigError(f"{key} must be {noun}, got {text!r}", key) from None
+
+
+def _build(values: dict[str, str]) -> CampaignConfig:
+    return CampaignConfig(**{name: _parse(key, values[key], getattr(CampaignConfig, name))
+                             for key, name in _FIELDS.items()})
 
 
 def load_config(path: str | None = None, *, seed: int | None = None,

@@ -413,11 +413,6 @@ def match_random_map(hw: FaultMap, seed: SeedLike | np.random.Generator) -> Faul
     )
 
 
-def sample_fault_count(dist: FaultCountDistribution, seed: SeedLike | np.random.Generator) -> int:
-    """Draw one per-SRAM fault count."""
-    return dist.sample(make_rng(seed))
-
-
 def generate_hwlike_sram(
     geometry: SramGeometry,
     params: SpatialParams,

@@ -14,7 +14,6 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
 
 import numpy as np
 
@@ -143,12 +142,6 @@ def greedy_label_matching(confusion: np.ndarray) -> int:
         c[r, :] = -1
         c[:, col] = -1
     return total
-
-
-def exhaustive_label_matching(confusion: np.ndarray) -> int:
-    """Best matched-point sum over all k! label bijections (test oracle)."""
-    k = confusion.shape[0]
-    return max(sum(int(confusion[r, p[r]]) for r in range(k)) for p in permutations(range(k)))
 
 
 def cluster_accuracy(golden_assign: np.ndarray, faulty_assign: np.ndarray, k: int = 4) -> float:

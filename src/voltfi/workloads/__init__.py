@@ -19,7 +19,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..cachesim import CacheGeometry, CacheModel, CrashReason, MainMemory
+from ..cachesim import CacheGeometry, CrashReason, MainMemory
 from .memory import Region, SimMemory
 
 DEFAULT_STEP_BUDGET = 5_000_000
@@ -102,19 +102,16 @@ def get(benchmark: str):
         raise KeyError(f"unknown benchmark {benchmark!r}; known: {', '.join(BENCHMARKS)}") from None
 
 
-def build_memory(cfg: WorkloadConfig, store=None, fault_map=None,
+def build_memory(cfg: WorkloadConfig, fault_map=None,
                  cache_geometry: CacheGeometry | None = None) -> SimMemory:
-    """Assemble the memory stack for one run: backing store, cache, regions."""
+    """The L1 cache of one run over a backing store that holds its layout."""
     lay = get(cfg.benchmark).layout(cfg)
-    if store is None:
-        geo = cache_geometry or CacheGeometry()
-        lb = geo.line_bytes
-        backing = MainMemory(((lay.mem_size + lb - 1) // lb) * lb)
-        cache = CacheModel(geo, backing)
-        if fault_map is not None:
-            cache.install_fault_map(fault_map)
-        store = cache
-    return SimMemory(store, lay.regions, cfg.step_budget)
+    geo = cache_geometry or CacheGeometry()
+    lb = geo.line_bytes
+    mem = SimMemory(geo, MainMemory(((lay.mem_size + lb - 1) // lb) * lb), lay.regions, cfg.step_budget)
+    if fault_map is not None:
+        mem.install_fault_map(fault_map)
+    return mem
 
 
 def run_workload(cfg: WorkloadConfig, fault_map=None,
@@ -122,46 +119,3 @@ def run_workload(cfg: WorkloadConfig, fault_map=None,
     """Run a benchmark through a (possibly faulty) cache."""
     mem = build_memory(cfg, fault_map=fault_map, cache_geometry=cache_geometry)
     return get(cfg.benchmark).run(cfg, mem)
-
-
-def run_flat(cfg: WorkloadConfig) -> WorkloadResult:
-    """Reference run against a flat store with no cache in the path."""
-    lay = get(cfg.benchmark).layout(cfg)
-    mem = SimMemory(MainMemory(lay.mem_size), lay.regions, cfg.step_budget)
-    return get(cfg.benchmark).run(cfg, mem)
-
-
-def save_result(result: WorkloadResult, basepath) -> None:
-    """Write an output buffer as flat binary plus a small text descriptor."""
-    from pathlib import Path
-
-    if result.is_crash:
-        raise ValueError("crash results have no output buffer")
-    base = Path(basepath)
-    base.with_suffix(".bin").write_bytes(result.data)
-    desc = f"dtype={result.dtype}\nshape={','.join(str(d) for d in result.shape)}\n"
-    base.with_suffix(".desc").write_bytes(desc.encode("ascii"))
-
-
-def load_result(basepath) -> WorkloadResult:
-    """Read back a buffer written by save_result."""
-    from pathlib import Path
-
-    base = Path(basepath)
-    data = base.with_suffix(".bin").read_bytes()
-    fields = dict(
-        line.split("=", 1)
-        for line in base.with_suffix(".desc").read_text(encoding="ascii").splitlines()
-    )
-    shape = tuple(int(d) for d in fields["shape"].split(",") if d)
-    return WorkloadResult(data=data, dtype=fields["dtype"], shape=shape)
-
-
-def result_to_pgm(result: WorkloadResult) -> bytes:
-    """Render a 2-D u8 output buffer (dct/sobel images) as binary PGM."""
-    from ..pgm import encode_pgm
-
-    arr = result.as_array()
-    if arr.ndim != 2 or result.dtype != "u8":
-        raise ValueError("only 2-D u8 outputs render as PGM")
-    return encode_pgm(arr)

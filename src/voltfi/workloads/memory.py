@@ -1,9 +1,9 @@
 """Sandboxed address space for benchmark kernels.
 
-Every data load/store of a kernel goes through a SimMemory, which validates
-the access against the mapped regions and forwards it to the cache stack
-(or a flat store for the no-cache reference run). Accesses that land in
-unmapped space raise CrashSignal(OUT_OF_RANGE), the segfault analogue.
+A SimMemory is the L1 data cache as a kernel sees it: every data load/store
+of a kernel is validated against the mapped regions and served by the
+cache. Accesses that land in unmapped space raise CrashSignal(OUT_OF_RANGE),
+the segfault analogue.
 
 Index/offset tables live in a small low region; bulk data is mapped at
 DATA_BASE = 0x18000, leaving a wide unmapped gap. Table entries hold
@@ -17,44 +17,63 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from ..cachesim import CacheModel, CrashReason, CrashSignal
+from ..cachesim import CacheGeometry, CacheModel, CrashReason, CrashSignal, MainMemory
 
 TAB_BASE = 0x0
 DATA_BASE = 0x18000
-
-# A flat store (line_bytes 0) has no lines; blocks of this size give it the same bytes.
-FLAT_BLOCK = 64
 
 
 def _typed(fmt: str):
     """Class-level (load, store) methods for one little-endian struct format.
 
-    An access inside one line that lies wholly within a region (`_lines`)
-    needs no span check; any other address takes the span check and, across
-    a line boundary, the split path.
+    A hit is served in the accessor's own frame when the line lies wholly
+    within a region (`_lines`), is resident with its masks applied (`_slot`)
+    and no flip or timed fault is bound (`_bindings`). Any other access takes
+    the span check, skipped when its line lies within a region, and then
+    `CacheModel.load`/`store`; one across a line boundary takes the split path.
     """
     codec = struct.Struct(fmt)
-    size, pack, unpack, unpack_from = codec.size, codec.pack, codec.unpack, codec.unpack_from
+    size, pack, pack_into = codec.size, codec.pack, codec.pack_into
+    unpack, unpack_from = codec.unpack, codec.unpack_from
 
     def load(self, addr: int):
         lb = self._lb
-        if addr % lb > lb - size:
+        off = addr % lb
+        if off > lb - size:
             self._check(addr, size)
             return unpack(self._read_split(addr, size))[0]
-        if addr // lb not in self._lines:
+        la = addr // lb
+        if la not in self._lines:
             self._check(addr, size)
-        buf, off = self._load(addr, size)
+        elif not self._bindings:
+            li = self._slot.get(la)
+            if li is not None:
+                self.tick = self._lru[li] = self.tick + 1
+                return unpack_from(self._data[li], off)[0]
+        buf, off = self.load(addr, size)
         return unpack_from(buf, off)[0]
 
     def store(self, addr: int, value) -> None:
         lb = self._lb
-        if addr % lb > lb - size:
+        off = addr % lb
+        if off > lb - size:
             self._check(addr, size)
             self._write_split(addr, pack(value))
             return
-        if addr // lb not in self._lines:
+        la = addr // lb
+        if la not in self._lines:
             self._check(addr, size)
-        self._store(addr, pack(value))
+        elif not self._bindings:
+            li = self._slot.get(la)
+            if li is not None:
+                buf = self._data[li]
+                pack_into(buf, off, value)
+                for i, a, o in self._masks[li]:
+                    buf[i] = buf[i] & a | o
+                self._dirty[li] = True
+                self.tick = self._lru[li] = self.tick + 1
+                return
+        self.store(addr, pack(value))
 
     return load, store
 
@@ -70,23 +89,21 @@ class Region:
         return self.base + self.size
 
 
-class SimMemory:
-    """Region-validated typed access to a store, plus the step budget."""
+class SimMemory(CacheModel):
+    """The L1 data cache with region-validated typed access and the step budget."""
 
-    def __init__(self, store, regions: tuple[Region, ...], step_budget: int):
+    def __init__(self, geometry: CacheGeometry, backing: MainMemory,
+                 regions: tuple[Region, ...], step_budget: int):
         if step_budget < 1:
             raise ValueError("step_budget must be >= 1")
         spans = sorted((r.base, r.end) for r in regions)
         for (b0, e0), (b1, _) in zip(spans, spans[1:]):
             if b1 < e0:
                 raise ValueError("regions overlap")
-        self.store = store
-        self.regions = {r.name: r for r in regions}
+        super().__init__(geometry, backing)
+        lb = self._lb
         self._spans = tuple(spans)
-        self._lb = lb = store.line_bytes or FLAT_BLOCK
         self._lines = frozenset(la for lo, hi in spans for la in range(-(-lo // lb), hi // lb))
-        self._load = store.load
-        self._store = store.store
         self.step_budget = step_budget
         self.ops = 0
         self.skipped_iterations = 0
@@ -111,8 +128,7 @@ class SimMemory:
         than `left` iterations, and no more than the step budget allows, so
         a budget crash comes at the same op in the tail that runs normally.
         """
-        cache = self.store
-        state = cache.cycle_state() if isinstance(cache, CacheModel) else None
+        state = self.cycle_state()
         if state is None:
             self._saved = None
             return 0
@@ -127,12 +143,12 @@ class SimMemory:
                     k = min(k, (self.step_budget - self.ops) // dops)
                 if k > 0:
                     self.ops += k * dops
-                    cache.advance(tick, k * (cache.tick - tick))
+                    self.advance(tick, k * (self.tick - tick))
                     self.skipped_iterations += k * p
                     self._saved = None  # its ops and tick no longer lie one period back
                     return k * p
         if saved is None or self._lam == self._power:
-            self._saved = (state, self.ops, cache.tick)
+            self._saved = (state, self.ops, self.tick)
             self._power = 2 * self._power if saved else 1
             self._lam = 0
         return 0
@@ -150,7 +166,7 @@ class SimMemory:
         out = bytearray()
         while n:
             take = min(n, lb - addr % lb)
-            buf, off = self._load(addr, take)
+            buf, off = self.load(addr, take)
             out += buf[off:off + take]
             addr += take
             n -= take
@@ -162,7 +178,7 @@ class SimMemory:
         n = len(data)
         while pos < n:
             take = min(n - pos, lb - addr % lb)
-            self._store(addr, data[pos:pos + take])
+            self.store(addr, data[pos:pos + take])
             addr += take
             pos += take
 
@@ -179,14 +195,8 @@ class SimMemory:
         """Byte-wise store of a block, each byte through the access path."""
         self._check(addr, len(data))
         for i, b in enumerate(data):
-            self._store(addr + i, data[i:i + 1])
-
-    def flush(self) -> None:
-        self.store.flush()
+            self.store(addr + i, data[i:i + 1])
 
     def dump(self, addr: int, n: int) -> bytes:
-        """Read raw bytes from the root backing store (call flush first)."""
-        root = self.store
-        while hasattr(root, "backing"):
-            root = root.backing
-        return root.read(addr, n)
+        """Read raw bytes from the backing store (call flush first)."""
+        return self.backing.read(addr, n)

@@ -1,12 +1,14 @@
-"""Today's access path, kept verbatim as the oracle of the fused one.
+"""The per-access model, kept as the oracle of the fused access path.
 
 `CacheModel` scans the set on every access and applies every fault binding,
 permanent stuck-at faults included, on every access that touches its line.
 `SimMemory` checks every access against the region spans and decodes through
-eight hand-written typed accessors. The differential tests run the same
-traces and kernels through these classes and through `voltfi.cachesim` /
-`voltfi.workloads.memory`, and require the same values, crashes, ticks, ops
-and backing-store bytes.
+eight hand-written typed accessors, over a separate `CacheModel` or straight
+over a `MainMemory`, the flat store of `run_flat`. The differential tests run
+the same traces and kernels through these classes and through
+`voltfi.workloads.memory.SimMemory`, and require the same values, crashes,
+ticks, ops and backing-store bytes. None of this shares access code with the
+path it checks.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from voltfi.cachesim import (
     map_fault_to_cache,
 )
 from voltfi.faultmap import CorruptionKind, FaultMap, TimingMode
+from voltfi.workloads import WorkloadConfig, WorkloadResult, get
 from voltfi.workloads.memory import Region
 
 _F64 = struct.Struct("<d")
@@ -33,6 +36,35 @@ _pack_u32 = _U32.pack
 _unpack_f64 = _F64.unpack_from
 _unpack_u64 = _U64.unpack_from
 _unpack_u32 = _U32.unpack_from
+
+
+class MainMemory:
+    """Flat, fault-free backing store."""
+
+    line_bytes = 0  # no line granularity
+
+    def __init__(self, size: int):
+        self.size = size
+        self.buf = bytearray(size)
+
+    def read(self, addr: int, n: int) -> bytes:
+        return bytes(self.buf[addr:addr + n])
+
+    def write(self, addr: int, data: bytes) -> None:
+        self.buf[addr:addr + len(data)] = data
+
+    def load(self, addr: int, n: int):
+        if addr < 0 or addr + n > self.size:
+            raise CrashSignal(CrashReason.OUT_OF_RANGE)
+        return self.buf, addr
+
+    def store(self, addr: int, data: bytes) -> None:
+        if addr < 0 or addr + len(data) > self.size:
+            raise CrashSignal(CrashReason.OUT_OF_RANGE)
+        self.buf[addr:addr + len(data)] = data
+
+    def flush(self) -> None:
+        pass
 
 
 class CacheModel:
@@ -334,3 +366,10 @@ class SimMemory:
         while hasattr(root, "backing"):
             root = root.backing
         return root.read(addr, n)
+
+
+def run_flat(cfg: WorkloadConfig) -> WorkloadResult:
+    """Reference run against a flat store with no cache in the path."""
+    lay = get(cfg.benchmark).layout(cfg)
+    mem = SimMemory(MainMemory(lay.mem_size), lay.regions, cfg.step_budget)
+    return get(cfg.benchmark).run(cfg, mem)

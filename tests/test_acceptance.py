@@ -34,13 +34,15 @@ from voltfi.harness import (
     Outcome,
     _confusion,
     avg_relative_error,
-    exhaustive_label_matching,
     greedy_label_matching,
     psnr,
     records_from_csv,
 )
 from voltfi.rng import make_rng
-from voltfi.workloads import BENCHMARKS, WorkloadConfig, run_flat, run_workload
+from voltfi.workloads import BENCHMARKS, WorkloadConfig, run_workload
+
+from oracles import exhaustive_label_matching
+from reference_access import run_flat
 
 GEO = SramGeometry()
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from voltfi.cachesim import (
-    AccessRequest,
     CacheBitAddr,
     CacheGeometry,
     CacheModel,
@@ -231,7 +230,6 @@ def test_cycle_state_waits_for_timed_faults_and_needs_main_memory():
     window = fault_map([(0, CorruptionKind.STUCK_AT_1, FaultTiming.intermittent(1, 3))])  # end_tick 4
     assert state_after(("install", 0), *3 * [("load", 64)], fmap=window) is None
     assert state_after(("install", 0), *4 * [("load", 64)], fmap=window) is not None
-    assert CacheModel(GEO, make_cache()[0]).cycle_state() is None  # an L2 below
 
 
 def test_tick_increments_per_access():
@@ -256,18 +254,6 @@ def test_request_spanning_lines_rejected():
     cache, _ = make_cache()
     with pytest.raises(ValueError):
         cache.load(60, 8)
-
-
-def test_access_request_api():
-    cache, _ = make_cache()
-    assert cache.access(AccessRequest("write", 8, 4, b"abcd")) is None
-    assert cache.access(AccessRequest("read", 8, 4)) == b"abcd"
-    with pytest.raises(ValueError):
-        AccessRequest("write", 0, 4)
-    with pytest.raises(ValueError):
-        AccessRequest("read", 0, 4, b"abcd")
-    with pytest.raises(ValueError):
-        AccessRequest("modify", 0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -364,22 +350,6 @@ def test_transparency_randomized_trace():
     got, cache = run_trace_observed(lambda: CacheModel(GEO, MainMemory(size)), ops)
     want, _ = run_trace_observed(lambda: FlatModel(size), ops)
     assert got == want
-
-
-def test_multilevel_composition_transparent():
-    size = 1 << 16
-    ops = random_trace(make_rng(7), size, 5_000)
-
-    def stack():
-        l2 = CacheModel(CacheGeometry(32, 4, 64), MainMemory(size))
-        return CacheModel(GEO, l2)
-
-    got, top = run_trace_observed(stack, ops)
-    want, flat = run_trace_observed(lambda: FlatModel(size), ops)
-    assert got == want
-    top.flush()
-    root = top.backing.backing
-    assert bytes(root.buf) == bytes(flat.buf)
 
 
 def test_inclusion_propagation_of_corrupted_bytes():

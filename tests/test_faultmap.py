@@ -23,7 +23,6 @@ from voltfi.faultmap import (
     match_random_map,
     parse_fault_map,
     probability_heatmap,
-    sample_fault_count,
     serialize_fault_map,
 )
 
@@ -226,10 +225,12 @@ def test_distribution_validation():
 
 
 def test_sample_point_mass_and_determinism():
+    from voltfi.rng import make_rng
+
     pm = FaultCountDistribution.point_mass(2)
-    assert all(sample_fault_count(pm, s) == 2 for s in range(20))
+    assert all(pm.sample(make_rng(s)) == 2 for s in range(20))
     d = FaultCountDistribution.default()
-    assert sample_fault_count(d, 7) == sample_fault_count(d, 7)
+    assert d.sample(make_rng(7)) == d.sample(make_rng(7))
 
 
 def test_default_distribution_headline_frequencies():

@@ -1,8 +1,8 @@
 """Differential tests of the fused access path against `reference_access`.
 
-The fused path (`voltfi.cachesim.CacheModel` with its line-to-slot dict and
-stuck-at masks, and `voltfi.workloads.memory.SimMemory` with its typed
-accessor factory) must be indistinguishable from the per-access model kept
+The fused path (`voltfi.workloads.memory.SimMemory`, a `CacheModel` with a
+line-to-slot dict, stuck-at masks and typed accessors that serve a hit in
+their own frame) must be indistinguishable from the per-access model kept
 in `tests/reference_access.py`: the same values, the same crash at the same
 step, the same ticks and ops, and the same backing-store bytes.
 """
@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference_access as ref
-from voltfi.cachesim import CacheGeometry, CacheModel, CrashSignal, MainMemory
+from voltfi.cachesim import CacheGeometry, CrashSignal, MainMemory
 from voltfi.faultmap import (
     BitLocation,
     CorpusParams,
@@ -32,7 +32,6 @@ from voltfi.workloads.memory import Region, SimMemory
 
 SRAM = SramGeometry()
 GEO = CacheGeometry()               # 16 sets x 2 ways x 64 B
-L2_GEO = CacheGeometry(8, 4, 64)    # same 16,384 bits, another shape
 SIZE = 4096                         # twice the cache: constant eviction
 # region edges off line boundaries, so partial lines take the span check
 REGIONS = (Region("tables", 0, 200), Region("data", 1000, 2000), Region("tail", 3100, 900))
@@ -68,19 +67,20 @@ traces = st.lists(st.one_of(
 ), max_size=250)
 
 
-def build_stack(cache_cls, mem_cls, two_level, l1_map, l2_map):
-    """SimMemory over an L1 (and optionally an L2) cache; returns (mem, caches top-down, root)."""
-    root = MainMemory(SIZE)
-    caches = []
-    if two_level:
-        caches.append(cache_cls(L2_GEO, root))
-        caches[0].install_fault_map(l2_map)
-    caches.insert(0, cache_cls(GEO, caches[0] if caches else root))
-    caches[0].install_fault_map(l1_map)
-    return mem_cls(caches[0], REGIONS, STEP_BUDGET), caches, root
+def build_fused(fmap):
+    """(typed memory, its cache) of the fused path, with fmap installed."""
+    mem = SimMemory(GEO, MainMemory(SIZE), REGIONS, STEP_BUDGET)
+    mem.install_fault_map(fmap)
+    return mem, mem
 
 
-def replay(mem, l1, maps, trace):
+def build_reference(fmap):
+    cache = ref.CacheModel(GEO, ref.MainMemory(SIZE))
+    cache.install_fault_map(fmap)
+    return ref.SimMemory(cache, REGIONS, STEP_BUDGET), cache
+
+
+def replay(mem, cache, maps, trace):
     """Run the trace; one observation per step (a value's bytes or a crash reason)."""
     seen = []
     for op in trace:
@@ -100,8 +100,8 @@ def replay(mem, l1, maps, trace):
                 mem.flush()
                 seen.append(None)
             else:
-                l1.install_fault_map(maps[op[1]])
-                seen.append(l1.fault_binding_count())
+                cache.install_fault_map(maps[op[1]])
+                seen.append(cache.fault_binding_count())
         except CrashSignal as c:
             seen.append(c.reason)
     return seen
@@ -116,27 +116,35 @@ def stuck_map(*faults):
 NO_FAULTS = stuck_map()
 SLOT0_BIT0_STUCK0 = stuck_map((0, CorruptionKind.STUCK_AT_0))        # set 0, way 0
 SLOT1_BIT0_STUCK1 = stuck_map((8192, CorruptionKind.STUCK_AT_1))     # set 0, way 1
+SLOT0_BIT0_FLIP = stuck_map((0, CorruptionKind.BIT_FLIP))            # a binding, not a mask
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(trace=traces, l1_maps=st.lists(fault_maps, min_size=2, max_size=2), l2_map=fault_maps,
-       two_level=st.booleans())
+@given(trace=traces, maps=st.lists(fault_maps, min_size=2, max_size=2))
 # a map installed over a resident line applies on that line's next access
 @example(trace=[("store", "u8", 1024, bytes(8 * [255])), ("install", 1), ("load", "u8", 1024)],
-         l1_maps=[NO_FAULTS, SLOT0_BIT0_STUCK0], l2_map=NO_FAULTS, two_level=False)
+         maps=[NO_FAULTS, SLOT0_BIT0_STUCK0])
 # after a flush a line fills the first way of its set, whatever the old LRU order
 @example(trace=[("store", "u8", 1024, bytes(8)), ("load", "u8", 2048), ("load", "u8", 1024), ("flush",),
                 ("load", "u8", 1024)],
-         l1_maps=[SLOT1_BIT0_STUCK1, NO_FAULTS], l2_map=NO_FAULTS, two_level=False)
-def test_fused_path_matches_reference_on_random_traces(trace, l1_maps, l2_map, two_level):
+         maps=[SLOT1_BIT0_STUCK1, NO_FAULTS])
+# one example per condition of the one-frame hit:
+# a resident line only partly inside a region still takes the span check
+@example(trace=[("store", "u8", 199, bytes(8)), ("load", "u8", 200)], maps=[NO_FAULTS, NO_FAULTS])
+# a hit on a line with a flip bound flips it again
+@example(trace=[("store", "u8", 1024, bytes(8)), ("install", 1), ("load", "u8", 1024), ("load", "u8", 1024)],
+         maps=[NO_FAULTS, SLOT0_BIT0_FLIP])
+# a store hit applies the line's stuck-at masks
+@example(trace=[("load", "u8", 1024), ("store", "u8", 1024, bytes(8 * [255])), ("load", "u8", 1024)],
+         maps=[SLOT0_BIT0_STUCK0, NO_FAULTS])
+def test_fused_path_matches_reference_on_random_traces(trace, maps):
     runs = []
-    for cache_cls, mem_cls in ((CacheModel, SimMemory), (ref.CacheModel, ref.SimMemory)):
-        mem, caches, root = build_stack(cache_cls, mem_cls, two_level, l1_maps[0], l2_map)
-        seen = replay(mem, caches[0], l1_maps, trace)
-        ticks = [c.tick for c in caches]
-        counts = [c.fault_binding_count() for c in caches]
+    for build in (build_fused, build_reference):
+        mem, cache = build(maps[0])
+        seen = replay(mem, cache, maps, trace)
+        tick, count = cache.tick, cache.fault_binding_count()
         mem.flush()
-        runs.append((seen, ticks, counts, mem.ops, bytes(root.buf)))
+        runs.append((seen, tick, count, mem.ops, bytes(cache.backing.buf)))
     assert runs[0] == runs[1]
 
 
@@ -175,7 +183,7 @@ CORPUS = _corpus()
 def run_reference(cfg, fmap):
     lay = get(cfg.benchmark).layout(cfg)
     lb = GEO.line_bytes
-    cache = ref.CacheModel(GEO, MainMemory(((lay.mem_size + lb - 1) // lb) * lb))
+    cache = ref.CacheModel(GEO, ref.MainMemory(((lay.mem_size + lb - 1) // lb) * lb))
     cache.install_fault_map(fmap)
     mem = ref.SimMemory(cache, lay.regions, cfg.step_budget)
     return get(cfg.benchmark).run(cfg, mem), mem
@@ -195,7 +203,7 @@ def test_fused_path_matches_reference_on_kernels(bench, map_index):
     got = get(bench).run(cfg, mem)
     want, ref_mem = run_reference(cfg, fmap)
     assert (got.crash_reason, got.data) == (want.crash_reason, want.data)
-    assert (mem.ops, mem.store.tick) == (ref_mem.ops, ref_mem.store.tick)
+    assert (mem.ops, mem.tick) == (ref_mem.ops, ref_mem.store.tick)
     assert mem.skipped_iterations == JUMPS.get((bench, map_index), 0)
 
 
@@ -244,9 +252,9 @@ def run_both(bench, fmap, step_budget):
     got = get(bench).run(cfg, mem)
     want, ref_mem = run_reference(cfg, fmap)
     assert (got.crash_reason, got.data) == (want.crash_reason, want.data)
-    assert (mem.ops, mem.store.tick) == (ref_mem.ops, ref_mem.store.tick)
+    assert (mem.ops, mem.tick) == (ref_mem.ops, ref_mem.store.tick)
     if got.is_crash:  # not flushed, so its LRU ticks must agree too
-        assert mem.store._lru == ref_mem.store._lru
+        assert mem._lru == ref_mem.store._lru
     return mem.skipped_iterations
 
 
@@ -275,7 +283,7 @@ def test_jump_period_includes_the_loop_carried_locals():
     # nothing but `extra` changes between boundaries, and it alternates: the period is 2, not 1
     mem = build_memory(WorkloadConfig("jacobi"))
     assert [mem.skip_periods(101, it % 2) for it in range(4)] == [0, 0, 0, 100]
-    assert (mem.skipped_iterations, mem.ops, mem.store.tick) == (100, 0, 0)
+    assert (mem.skipped_iterations, mem.ops, mem.tick) == (100, 0, 0)
 
 
 # ---------------------------------------------------------------------------

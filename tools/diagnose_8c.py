@@ -23,7 +23,8 @@ from scipy import stats
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from voltfi.cli import _METHOD_BY_TOKEN, read_index  # noqa: E402
+from voltfi.cli import read_index  # noqa: E402
+from voltfi.config import METHOD_BY_TOKEN  # noqa: E402
 from voltfi.faultmap import parse_fault_map  # noqa: E402
 from voltfi.harness import Outcome, records_from_csv  # noqa: E402
 
@@ -34,7 +35,7 @@ METHODS = ("HW_FI", "RND_FI")
 
 def mc_sdcs(out: Path) -> dict[str, list[tuple[float, set[int]]]]:
     """Per method, (relative error, faulty SRAM columns) of every mc SDC."""
-    paths = {(_METHOD_BY_TOKEN[e["method"]], e["sram_id"], e["voltage_mv"]): e["path"] for e in read_index(out)}
+    paths = {(METHOD_BY_TOKEN[e["method"]], e["sram_id"], e["voltage_mv"]): e["path"] for e in read_index(out)}
     records = records_from_csv((out / "results.csv").read_text(encoding="utf-8"))
     sdcs: dict[str, list[tuple[float, set[int]]]] = {m: [] for m in METHODS}
     for r in records:
