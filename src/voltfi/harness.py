@@ -177,12 +177,7 @@ def run_experiment(benchmark: str, config: WorkloadConfig, fmap: FaultMap, metho
     outcome = classify(result, golden)
     quality = None
     if outcome is Outcome.SDC:
-        if result.shape != golden.shape or result.dtype != golden.dtype:
-            # shape mismatch counts as SDC with the worst score of the metric
-            metric = METRIC_BY_BENCHMARK[benchmark]
-            quality = QualityValue(metric, {PSNR_DB: 1e-9, AVG_REL_ERR: 1.0, CLUSTER_ACC_PCT: 0.0}[metric])
-        else:
-            quality = compute_quality(benchmark, golden, result)
+        quality = compute_quality(benchmark, golden, result)
     return ExperimentRecord(
         benchmark=benchmark,
         method=method,
@@ -225,7 +220,6 @@ class AggregateReport:
     classification: dict   # (benchmark, method) -> OutcomeFractions
     by_fault_count: dict   # (method, fault_count <= cutoff) -> OutcomeFractions
     quality: dict          # (benchmark, method) -> tuple of SDC quality values
-    fault_count_cutoff: int = FAULT_COUNT_CUTOFF
 
 
 def aggregate(records) -> AggregateReport:

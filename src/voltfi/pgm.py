@@ -13,17 +13,6 @@ def encode_pgm(image: np.ndarray) -> bytes:
     return f"P5\n{w} {h}\n255\n".encode("ascii") + img.tobytes()
 
 
-def decode_pgm(data: bytes) -> np.ndarray:
-    parts = data.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P5" or parts[2] != b"255":
-        raise ValueError("not a binary P5 PGM with maxval 255")
-    w, h = (int(t) for t in parts[1].split())
-    raster = parts[3]
-    if len(raster) != w * h:
-        raise ValueError("raster size mismatch")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)
-
-
 def scale_to_u8(matrix: np.ndarray) -> np.ndarray:
     """Scale non-negative values so the maximum maps to 255."""
     m = np.asarray(matrix, dtype=np.float64)

@@ -1,25 +1,26 @@
 """Benchmark kernels that route all data accesses through a simulated cache.
 
 Six kernels are provided: jacobi, blackscholes, dct, mc (Monte Carlo
-boundary estimation), sobel, and kmeans. Each kernel module exposes
+boundary estimation), sobel, and kmeans. Each runs at one fixed size, set
+by its module constants, and each kernel module exposes
 
-* ``layout(config)``  - memory regions and output location,
+* ``LAYOUT``  - memory regions and the output's size, dtype and shape,
 * ``init(config, mem)`` - writes inputs through the access path,
-* ``run(config, mem)``  - full run returning a WorkloadResult,
+* ``run(config, mem)``  - init, compute, and return the output's address;
+  a CrashSignal propagates,
 
 plus ``generate_inputs(config)`` with the seeded input arrays (shared with
-test oracles). All kernels keep their pointer/index tables in the low
-region below every bulk-data byte.
+test oracles). ``execute`` turns a run into a WorkloadResult. All kernels
+keep their pointer/index tables in the low region below every bulk-data byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..cachesim import CacheGeometry, CrashReason, MainMemory
+from ..cachesim import CacheGeometry, CrashReason, CrashSignal, MainMemory
 from .memory import Region, SimMemory
 
 DEFAULT_STEP_BUDGET = 5_000_000
@@ -30,24 +31,22 @@ class WorkloadConfig:
     benchmark: str
     seed: int = 0
     step_budget: int = DEFAULT_STEP_BUDGET
-    params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.step_budget < 1:
             raise ValueError("step_budget must be >= 1")
 
-    def param(self, name: str, default):
-        return self.params.get(name, default)
-
 
 @dataclass(frozen=True)
 class Layout:
     regions: tuple[Region, ...]
-    mem_size: int
-    output_addr: int
     output_bytes: int
     output_dtype: str  # "u8" | "f64"
     output_shape: tuple[int, ...]
+
+    @property
+    def mem_size(self) -> int:
+        return max(r.end for r in self.regions)
 
 
 @dataclass(frozen=True)
@@ -74,13 +73,6 @@ class WorkloadResult:
         return cls(crash_reason=reason)
 
 
-def finish(mem: SimMemory, lay: Layout) -> WorkloadResult:
-    """Flush the cache and lift the output buffer out of the backing store."""
-    mem.flush()
-    data = mem.dump(lay.output_addr, lay.output_bytes)
-    return WorkloadResult(data=data, dtype=lay.output_dtype, shape=lay.output_shape)
-
-
 from . import blackscholes, dct, jacobi, kmeans, mc, sobel  # noqa: E402
 
 _MODULES = {
@@ -105,7 +97,7 @@ def get(benchmark: str):
 def build_memory(cfg: WorkloadConfig, fault_map=None,
                  cache_geometry: CacheGeometry | None = None) -> SimMemory:
     """The L1 cache of one run over a backing store that holds its layout."""
-    lay = get(cfg.benchmark).layout(cfg)
+    lay = get(cfg.benchmark).LAYOUT
     geo = cache_geometry or CacheGeometry()
     lb = geo.line_bytes
     mem = SimMemory(geo, MainMemory(((lay.mem_size + lb - 1) // lb) * lb), lay.regions, cfg.step_budget)
@@ -114,8 +106,19 @@ def build_memory(cfg: WorkloadConfig, fault_map=None,
     return mem
 
 
+def execute(cfg: WorkloadConfig, mem) -> WorkloadResult:
+    """Run the kernel on mem: its crash, or its flushed output lifted out of the backing store."""
+    kernel = get(cfg.benchmark)
+    try:
+        addr = kernel.run(cfg, mem)
+    except CrashSignal as c:
+        return WorkloadResult.crash(c.reason)
+    lay = kernel.LAYOUT
+    mem.flush()
+    return WorkloadResult(data=mem.dump(addr, lay.output_bytes), dtype=lay.output_dtype, shape=lay.output_shape)
+
+
 def run_workload(cfg: WorkloadConfig, fault_map=None,
                  cache_geometry: CacheGeometry | None = None) -> WorkloadResult:
     """Run a benchmark through a (possibly faulty) cache."""
-    mem = build_memory(cfg, fault_map=fault_map, cache_geometry=cache_geometry)
-    return get(cfg.benchmark).run(cfg, mem)
+    return execute(cfg, build_memory(cfg, fault_map=fault_map, cache_geometry=cache_geometry))

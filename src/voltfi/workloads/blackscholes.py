@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 
-from ..cachesim import CrashSignal
 from ..rng import make_rng
-from . import Layout, WorkloadConfig, WorkloadResult, finish
+from . import Layout, WorkloadConfig
 from .memory import DATA_BASE, TAB_BASE, Region, SimMemory
 
 STREAM_TAG = 11
@@ -20,29 +19,21 @@ N_OPTIONS = 1024
 CHUNK = 16
 OPTION_BYTES = 6 * 8
 
+OUT = DATA_BASE + N_OPTIONS * OPTION_BYTES
+LAYOUT = Layout(
+    regions=(Region("tables", TAB_BASE, (N_OPTIONS // CHUNK) * 8),
+             Region("data", DATA_BASE, OUT + N_OPTIONS * 8 - DATA_BASE)),
+    output_bytes=N_OPTIONS * 8,
+    output_dtype="f64",
+    output_shape=(N_OPTIONS,),
+)
+
 _SQRT2 = math.sqrt(2.0)
-
-
-def _sizes(cfg: WorkloadConfig) -> int:
-    return int(cfg.param("n_options", N_OPTIONS))
-
-
-def layout(cfg: WorkloadConfig) -> Layout:
-    n = _sizes(cfg)
-    data_size = n * OPTION_BYTES + n * 8
-    return Layout(
-        regions=(Region("tables", TAB_BASE, (n // CHUNK) * 8), Region("data", DATA_BASE, data_size)),
-        mem_size=DATA_BASE + data_size,
-        output_addr=DATA_BASE + n * OPTION_BYTES,
-        output_bytes=n * 8,
-        output_dtype="f64",
-        output_shape=(n,),
-    )
 
 
 def generate_inputs(cfg: WorkloadConfig):
     # normalized-underlying units: every stored double stays below 2.0
-    n = _sizes(cfg)
+    n = N_OPTIONS
     rng = make_rng(cfg.seed, STREAM_TAG)
     spot = rng.uniform(0.5, 1.9, n)
     strike = rng.uniform(0.5, 1.9, n)
@@ -73,29 +64,23 @@ def _phi(x: float) -> float:
 
 
 def init(cfg: WorkloadConfig, mem: SimMemory) -> None:
-    n = _sizes(cfg)
-    fields = generate_inputs(cfg)
     opt_base = DATA_BASE
-    for c in range(n // CHUNK):
+    fields = generate_inputs(cfg)
+    for c in range(N_OPTIONS // CHUNK):
         mem.store_u64(TAB_BASE + 8 * c, opt_base + c * CHUNK * OPTION_BYTES)
-    for i in range(n):
+    for i in range(N_OPTIONS):
         rec = opt_base + i * OPTION_BYTES
         for f, arr in enumerate(fields):
             mem.store_f64(rec + 8 * f, arr[i])
 
 
-def run(cfg: WorkloadConfig, mem: SimMemory) -> WorkloadResult:
-    n = _sizes(cfg)
-    lay = layout(cfg)
-    out = lay.output_addr
+def run(cfg: WorkloadConfig, mem: SimMemory) -> int:
+    out = OUT
     lf = mem.load_f64
-    try:
-        init(cfg, mem)
-        for i in range(n):
-            mem.charge(1)
-            rec = mem.load_u64(TAB_BASE + 8 * (i // CHUNK)) + (i % CHUNK) * OPTION_BYTES
-            p = price(lf(rec), lf(rec + 8), lf(rec + 16), lf(rec + 24), lf(rec + 32), lf(rec + 40))
-            mem.store_f64(out + 8 * i, p)
-    except CrashSignal as c:
-        return WorkloadResult.crash(c.reason)
-    return finish(mem, lay)
+    init(cfg, mem)
+    for i in range(N_OPTIONS):
+        mem.charge(1)
+        rec = mem.load_u64(TAB_BASE + 8 * (i // CHUNK)) + (i % CHUNK) * OPTION_BYTES
+        p = price(lf(rec), lf(rec + 8), lf(rec + 16), lf(rec + 24), lf(rec + 32), lf(rec + 40))
+        mem.store_f64(out + 8 * i, p)
+    return out

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 
-from ..cachesim import CrashSignal
 from ..rng import make_rng
-from . import Layout, WorkloadConfig, WorkloadResult, finish
+from . import Layout, WorkloadConfig
 from .images import synthetic_image
 from .memory import DATA_BASE, TAB_BASE, Region, SimMemory
 
@@ -20,6 +19,19 @@ STREAM_TAG = 12
 IMG = 64
 BLOCK = 8
 QUANT_SCALE = 0.08  # fraction of the standard luminance table
+MAX_VAL = 255  # brightest input pixel
+NB = IMG // BLOCK  # blocks per image side
+
+OUT = DATA_BASE + IMG * IMG
+SCR = OUT + IMG * IMG
+COEF = SCR + 512
+QT = COEF + 512
+LAYOUT = Layout(
+    regions=(Region("tables", TAB_BASE, NB * NB * 8), Region("data", DATA_BASE, QT + 64 - DATA_BASE)),
+    output_bytes=IMG * IMG,
+    output_dtype="u8",
+    output_shape=(IMG, IMG),
+)
 
 # ITU-T T.81 luminance quantization table
 QBASE = (
@@ -51,48 +63,17 @@ def _quantize(val: float, q: int) -> float:
     return float(round(val)) if math.isfinite(val) else val
 
 
-def _size(cfg: WorkloadConfig) -> int:
-    return int(cfg.param("image_size", IMG))
-
-
 def quant_table(cfg: WorkloadConfig) -> list[int]:
-    scale = float(cfg.param("quant_scale", QUANT_SCALE))
-    return [max(1, round(q * scale)) for q in QBASE]
-
-
-def _addrs(n: int):
-    img = DATA_BASE
-    out = img + n * n
-    scr = out + n * n
-    coef = scr + 512
-    qt = coef + 512
-    return img, out, scr, coef, qt
-
-
-def layout(cfg: WorkloadConfig) -> Layout:
-    n = _size(cfg)
-    nblocks = (n // BLOCK) ** 2
-    data_size = 2 * n * n + 512 + 512 + 64
-    return Layout(
-        regions=(Region("tables", TAB_BASE, nblocks * 8), Region("data", DATA_BASE, data_size)),
-        mem_size=DATA_BASE + data_size,
-        output_addr=DATA_BASE + n * n,
-        output_bytes=n * n,
-        output_dtype="u8",
-        output_shape=(n, n),
-    )
+    return [max(1, round(q * QUANT_SCALE)) for q in QBASE]
 
 
 def generate_inputs(cfg: WorkloadConfig):
-    n = _size(cfg)
     rng = make_rng(cfg.seed, STREAM_TAG)
-    return synthetic_image(rng, n, int(cfg.param("max_val", 255)))
+    return synthetic_image(rng, IMG, MAX_VAL)
 
 
 def init(cfg: WorkloadConfig, mem: SimMemory) -> None:
-    n = _size(cfg)
-    img, out, scr, coef, qt = _addrs(n)
-    nb = n // BLOCK
+    n, nb, img, qt = IMG, NB, DATA_BASE, QT
     image = generate_inputs(cfg)
     for b in range(nb * nb):
         by, bx = divmod(b, nb)
@@ -102,62 +83,56 @@ def init(cfg: WorkloadConfig, mem: SimMemory) -> None:
         mem.store_u8(qt + i, q)
 
 
-def run(cfg: WorkloadConfig, mem: SimMemory) -> WorkloadResult:
-    n = _size(cfg)
-    img, out, scr, coef, qt = _addrs(n)
-    nb = n // BLOCK
-    lay = layout(cfg)
+def run(cfg: WorkloadConfig, mem: SimMemory) -> int:
+    n, nb, out, scr, coef, qt = IMG, NB, OUT, SCR, COEF, QT
     lf = mem.load_f64
     l8 = mem.load_u8
     sf = mem.store_f64
-    try:
-        init(cfg, mem)
-        for b in range(nb * nb):
-            mem.charge(64)
-            bp = mem.load_u64(TAB_BASE + 8 * b)
-            # forward DCT along rows: pixels -> scratch
-            for r in range(8):
-                px = [l8(bp + r * n + c) - 128.0 for c in range(8)]
-                for u in range(8):
-                    cos_u = COS[u]
-                    s = 0.0
-                    for x in range(8):
-                        s += px[x] * cos_u[x]
-                    sf(scr + (r * 8 + u) * 8, 0.5 * CU[u] * s)
-            # forward DCT along columns, then quantize into coef
+    init(cfg, mem)
+    for b in range(nb * nb):
+        mem.charge(64)
+        bp = mem.load_u64(TAB_BASE + 8 * b)
+        # forward DCT along rows: pixels -> scratch
+        for r in range(8):
+            px = [l8(bp + r * n + c) - 128.0 for c in range(8)]
             for u in range(8):
-                col = [lf(scr + (r * 8 + u) * 8) for r in range(8)]
-                for v in range(8):
-                    cos_v = COS[v]
-                    s = 0.0
-                    for r in range(8):
-                        s += col[r] * cos_v[r]
-                    q = l8(qt + v * 8 + u)
-                    sf(coef + (v * 8 + u) * 8, _quantize(0.5 * CU[v] * s, q))
-            # dequantize + inverse DCT along columns: coef -> scratch
-            for u in range(8):
-                cq = [lf(coef + (v * 8 + u) * 8) * l8(qt + v * 8 + u) for v in range(8)]
-                for r in range(8):
-                    s = 0.0
-                    for v in range(8):
-                        s += CU[v] * cq[v] * COS[v][r]
-                    sf(scr + (r * 8 + u) * 8, 0.5 * s)
-            # inverse DCT along rows: scratch -> output pixels
-            oy = (b // nb) * BLOCK
-            ox = (b % nb) * BLOCK
-            for r in range(8):
-                row = [lf(scr + (r * 8 + u) * 8) for u in range(8)]
+                cos_u = COS[u]
+                s = 0.0
                 for x in range(8):
-                    s = 0.0
-                    for u in range(8):
-                        s += CU[u] * row[u] * COS[u][x]
-                    v = 0.5 * s + 128.0
-                    p = round(v) if math.isfinite(v) else 0
-                    if p < 0:
-                        p = 0
-                    elif p > 255:
-                        p = 255
-                    mem.store_u8(out + (oy + r) * n + ox + x, p)
-    except CrashSignal as c:
-        return WorkloadResult.crash(c.reason)
-    return finish(mem, lay)
+                    s += px[x] * cos_u[x]
+                sf(scr + (r * 8 + u) * 8, 0.5 * CU[u] * s)
+        # forward DCT along columns, then quantize into coef
+        for u in range(8):
+            col = [lf(scr + (r * 8 + u) * 8) for r in range(8)]
+            for v in range(8):
+                cos_v = COS[v]
+                s = 0.0
+                for r in range(8):
+                    s += col[r] * cos_v[r]
+                q = l8(qt + v * 8 + u)
+                sf(coef + (v * 8 + u) * 8, _quantize(0.5 * CU[v] * s, q))
+        # dequantize + inverse DCT along columns: coef -> scratch
+        for u in range(8):
+            cq = [lf(coef + (v * 8 + u) * 8) * l8(qt + v * 8 + u) for v in range(8)]
+            for r in range(8):
+                s = 0.0
+                for v in range(8):
+                    s += CU[v] * cq[v] * COS[v][r]
+                sf(scr + (r * 8 + u) * 8, 0.5 * s)
+        # inverse DCT along rows: scratch -> output pixels
+        oy = (b // nb) * BLOCK
+        ox = (b % nb) * BLOCK
+        for r in range(8):
+            row = [lf(scr + (r * 8 + u) * 8) for u in range(8)]
+            for x in range(8):
+                s = 0.0
+                for u in range(8):
+                    s += CU[u] * row[u] * COS[u][x]
+                v = 0.5 * s + 128.0
+                p = round(v) if math.isfinite(v) else 0
+                if p < 0:
+                    p = 0
+                elif p > 255:
+                    p = 255
+                mem.store_u8(out + (oy + r) * n + ox + x, p)
+    return out

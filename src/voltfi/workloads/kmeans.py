@@ -13,9 +13,8 @@ import math
 
 import numpy as np
 
-from ..cachesim import CrashSignal
 from ..rng import make_rng
-from . import Layout, WorkloadConfig, WorkloadResult, finish
+from . import Layout, WorkloadConfig
 from .memory import DATA_BASE, TAB_BASE, Region, SimMemory
 
 STREAM_TAG = 15
@@ -29,38 +28,25 @@ BLOB_CENTERS = ((-4.0, -4.0), (4.0, -4.0), (-4.0, 4.0), (4.0, 4.0))
 BLOB_SIGMA = 0.8
 
 
-def _sizes(cfg: WorkloadConfig):
-    return int(cfg.param("n_points", N_POINTS)), int(cfg.param("k", K))
-
-
-def _addrs(n: int, k: int):
-    pts = DATA_BASE
-    cents = pts + n * POINT_BYTES
-    asg = cents + k * POINT_BYTES
-    # pad the accumulators to the next 1 KiB boundary: they are high-leverage
-    # state and belong in the low cache sets with the other control data
-    sums = DATA_BASE + ((asg + n - DATA_BASE + 1023) // 1024) * 1024
-    counts = sums + k * 16
-    end = counts + k * 8
-    return pts, cents, asg, sums, counts, end
-
-
-def layout(cfg: WorkloadConfig) -> Layout:
-    n, k = _sizes(cfg)
-    pts, cents, asg, sums, counts, end = _addrs(n, k)
-    table_size = (n // CHUNK) * 8 + k * 8
-    return Layout(
-        regions=(Region("tables", TAB_BASE, table_size), Region("data", DATA_BASE, end - DATA_BASE)),
-        mem_size=end,
-        output_addr=asg,
-        output_bytes=n,
-        output_dtype="u8",
-        output_shape=(n,),
-    )
+PTS = DATA_BASE
+CENTS = PTS + N_POINTS * POINT_BYTES
+ASG = CENTS + K * POINT_BYTES
+# pad the accumulators to the next 1 KiB boundary: they are high-leverage
+# state and belong in the low cache sets with the other control data
+SUMS = DATA_BASE + ((ASG + N_POINTS - DATA_BASE + 1023) // 1024) * 1024
+COUNTS = SUMS + K * 16
+CENT_TAB = TAB_BASE + (N_POINTS // CHUNK) * 8
+LAYOUT = Layout(
+    regions=(Region("tables", TAB_BASE, CENT_TAB + K * 8 - TAB_BASE),
+             Region("data", DATA_BASE, COUNTS + K * 8 - DATA_BASE)),
+    output_bytes=N_POINTS,
+    output_dtype="u8",
+    output_shape=(N_POINTS,),
+)
 
 
 def generate_inputs(cfg: WorkloadConfig):
-    n, k = _sizes(cfg)
+    n, k = N_POINTS, K
     rng = make_rng(cfg.seed, STREAM_TAG)
     per = n // len(BLOB_CENTERS)
     pts = []
@@ -73,9 +59,7 @@ def generate_inputs(cfg: WorkloadConfig):
 
 
 def init(cfg: WorkloadConfig, mem: SimMemory) -> None:
-    n, k = _sizes(cfg)
-    pts_a, cents_a, asg, _, _, _ = _addrs(n, k)
-    cent_tab = TAB_BASE + (n // CHUNK) * 8
+    n, k, pts_a, cents_a, asg, cent_tab = N_POINTS, K, PTS, CENTS, ASG, CENT_TAB
     pts, cents = generate_inputs(cfg)
     for c in range(n // CHUNK):
         mem.store_u64(TAB_BASE + 8 * c, pts_a + c * CHUNK * POINT_BYTES)
@@ -91,62 +75,56 @@ def init(cfg: WorkloadConfig, mem: SimMemory) -> None:
         mem.store_u8(asg + i, 255)
 
 
-def run(cfg: WorkloadConfig, mem: SimMemory) -> WorkloadResult:
-    n, k = _sizes(cfg)
-    max_iters = int(cfg.param("max_iters", MAX_ITERS))
-    pts_a, cents_a, asg, sums, counts, _ = _addrs(n, k)
-    cent_tab = TAB_BASE + (n // CHUNK) * 8
-    lay = layout(cfg)
+def run(cfg: WorkloadConfig, mem: SimMemory) -> int:
+    n, k, asg, sums, counts, cent_tab = N_POINTS, K, ASG, SUMS, COUNTS, CENT_TAB
+    max_iters = MAX_ITERS
     lf = mem.load_f64
     sf = mem.store_f64
     lp = mem.load_u64
     inf = math.inf
-    try:
-        init(cfg, mem)
-        it = 0
-        while it < max_iters:
-            changed = 0
-            for i in range(n):
-                mem.charge(k)
-                pa = lp(TAB_BASE + 8 * (i // CHUNK)) + (i % CHUNK) * POINT_BYTES
-                x = lf(pa)
-                y = lf(pa + 8)
-                best = 0
-                bestd = inf
-                for c in range(k):
-                    ca = lp(cent_tab + 8 * c)
-                    dx = x - lf(ca)
-                    dy = y - lf(ca + 8)
-                    d = dx * dx + dy * dy
-                    if d < bestd:
-                        bestd = d
-                        best = c
-                if mem.load_u8(asg + i) != best:
-                    changed += 1
-                mem.store_u8(asg + i, best)
+    init(cfg, mem)
+    it = 0
+    while it < max_iters:
+        changed = 0
+        for i in range(n):
+            mem.charge(k)
+            pa = lp(TAB_BASE + 8 * (i // CHUNK)) + (i % CHUNK) * POINT_BYTES
+            x = lf(pa)
+            y = lf(pa + 8)
+            best = 0
+            bestd = inf
             for c in range(k):
-                sf(sums + 16 * c, 0.0)
-                sf(sums + 16 * c + 8, 0.0)
-                sf(counts + 8 * c, 0.0)
-            for i in range(n):
-                mem.charge(1)
-                a = mem.load_u8(asg + i)
-                pa = lp(TAB_BASE + 8 * (i // CHUNK)) + (i % CHUNK) * POINT_BYTES
-                sa = sums + 16 * a
-                ca = counts + 8 * a
-                sf(sa, lf(sa) + lf(pa))
-                sf(sa + 8, lf(sa + 8) + lf(pa + 8))
-                sf(ca, lf(ca) + 1.0)
-            for c in range(k):
-                cnt = lf(counts + 8 * c)
-                if cnt > 0.0:
-                    ca = lp(cent_tab + 8 * c)
-                    sf(ca, lf(sums + 16 * c) / cnt)
-                    sf(ca + 8, lf(sums + 16 * c + 8) / cnt)
-            if changed == 0:
-                break
-            it += 1
-            it += mem.skip_periods(max_iters - it)
-    except CrashSignal as c:
-        return WorkloadResult.crash(c.reason)
-    return finish(mem, lay)
+                ca = lp(cent_tab + 8 * c)
+                dx = x - lf(ca)
+                dy = y - lf(ca + 8)
+                d = dx * dx + dy * dy
+                if d < bestd:
+                    bestd = d
+                    best = c
+            if mem.load_u8(asg + i) != best:
+                changed += 1
+            mem.store_u8(asg + i, best)
+        for c in range(k):
+            sf(sums + 16 * c, 0.0)
+            sf(sums + 16 * c + 8, 0.0)
+            sf(counts + 8 * c, 0.0)
+        for i in range(n):
+            mem.charge(1)
+            a = mem.load_u8(asg + i)
+            pa = lp(TAB_BASE + 8 * (i // CHUNK)) + (i % CHUNK) * POINT_BYTES
+            sa = sums + 16 * a
+            ca = counts + 8 * a
+            sf(sa, lf(sa) + lf(pa))
+            sf(sa + 8, lf(sa + 8) + lf(pa + 8))
+            sf(ca, lf(ca) + 1.0)
+        for c in range(k):
+            cnt = lf(counts + 8 * c)
+            if cnt > 0.0:
+                ca = lp(cent_tab + 8 * c)
+                sf(ca, lf(sums + 16 * c) / cnt)
+                sf(ca + 8, lf(sums + 16 * c + 8) / cnt)
+        if changed == 0:
+            break
+        it += 1
+        it += mem.skip_periods(max_iters - it)
+    return asg

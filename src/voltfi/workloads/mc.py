@@ -20,7 +20,7 @@ import numpy as np
 
 from ..cachesim import CrashReason, CrashSignal
 from ..rng import make_rng
-from . import Layout, WorkloadConfig, WorkloadResult, finish
+from . import Layout, WorkloadConfig
 from .memory import DATA_BASE, TAB_BASE, Region, SimMemory
 
 STREAM_TAG = 13
@@ -33,39 +33,24 @@ POOL_WORDS = 8192  # 64 KiB of random angle words, four 16-bit angles each
 INNER_LO = 0.25
 INNER_HI = 0.75
 
+PX = DATA_BASE
+PY = PX + N_POINTS * 8
+G = PY + N_POINTS * 8
+POOL = G + SEGMENTS * 8
+OUT = POOL + POOL_WORDS * 8
+LAYOUT = Layout(
+    regions=(Region("tables", TAB_BASE, N_POINTS * 4), Region("data", DATA_BASE, OUT + N_POINTS * 8 - DATA_BASE)),
+    output_bytes=N_POINTS * 8,
+    output_dtype="f64",
+    output_shape=(N_POINTS,),
+)
+
 _TWO_PI = 2.0 * math.pi
 _ANGLE_SCALE = _TWO_PI / 65536.0
 
 
-def _sizes(cfg: WorkloadConfig):
-    return int(cfg.param("n_points", N_POINTS)), int(cfg.param("walks", WALKS_PER_POINT))
-
-
-def _addrs(n: int):
-    px = DATA_BASE
-    py = px + n * 8
-    g = py + n * 8
-    pool = g + SEGMENTS * 8
-    out = pool + POOL_WORDS * 8
-    return px, py, g, pool, out
-
-
-def layout(cfg: WorkloadConfig) -> Layout:
-    n, _ = _sizes(cfg)
-    data_size = 2 * n * 8 + SEGMENTS * 8 + POOL_WORDS * 8 + n * 8
-    return Layout(
-        regions=(Region("tables", TAB_BASE, n * 4), Region("data", DATA_BASE, data_size)),
-        mem_size=DATA_BASE + data_size,
-        output_addr=_addrs(n)[4],
-        output_bytes=n * 8,
-        output_dtype="f64",
-        output_shape=(n,),
-    )
-
-
 def generate_inputs(cfg: WorkloadConfig):
-    n, _ = _sizes(cfg)
-    side = n // 4
+    side = N_POINTS // 4
     t = (np.arange(side) + 0.5) / side
     lo, hi = INNER_LO, INNER_HI
     span = hi - lo
@@ -108,8 +93,7 @@ def boundary_segment(x: float, y: float) -> int:
 
 
 def init(cfg: WorkloadConfig, mem: SimMemory) -> None:
-    n, walks = _sizes(cfg)
-    px, py, g_a, pool_a, _ = _addrs(n)
+    n, walks, px, py, g_a, pool_a = N_POINTS, WALKS_PER_POINT, PX, PY, G, POOL
     xs, ys, g, pool = generate_inputs(cfg)
     for i in range(n):
         mem.store_u32(TAB_BASE + 4 * i, walks)
@@ -122,61 +106,56 @@ def init(cfg: WorkloadConfig, mem: SimMemory) -> None:
         mem.store_u64(pool_a + 8 * i, int(pool[i]))
 
 
-def run(cfg: WorkloadConfig, mem: SimMemory) -> WorkloadResult:
-    n, _ = _sizes(cfg)
-    step_cap = int(cfg.param("walk_step_cap", WALK_STEP_CAP))
-    px, py, g_a, pool_a, out = _addrs(n)
-    lay = layout(cfg)
+def run(cfg: WorkloadConfig, mem: SimMemory) -> int:
+    n, px, py, g_a, pool_a, out = N_POINTS, PX, PY, G, POOL, OUT
+    step_cap = WALK_STEP_CAP
     lf = mem.load_f64
     lu64 = mem.load_u64
     charge = mem.charge
     budget = mem.step_budget
     cos = math.cos
     sin = math.sin
-    try:
-        init(cfg, mem)
-        ctr = 0       # global angle counter; four angles per pool word
-        word = 0
-        for i in range(n):
+    init(cfg, mem)
+    ctr = 0       # global angle counter; four angles per pool word
+    word = 0
+    for i in range(n):
+        charge(1)
+        x0 = lf(px + 8 * i)
+        y0 = lf(py + 8 * i)
+        nw = mem.load_u32(TAB_BASE + 4 * i)
+        acc = 0.0
+        for _ in range(nw):
             charge(1)
-            x0 = lf(px + 8 * i)
-            y0 = lf(py + 8 * i)
-            nw = mem.load_u32(TAB_BASE + 4 * i)
-            acc = 0.0
-            for _ in range(nw):
-                charge(1)
-                x = x0
-                y = y0
-                # steps are charged to mem.ops once the walk ends; room is what the budget has left
-                room = budget - mem.ops
-                steps = 0
-                while True:
-                    d = x
-                    if 1.0 - x < d:
-                        d = 1.0 - x
-                    if y < d:
-                        d = y
-                    if 1.0 - y < d:
-                        d = 1.0 - y
-                    if d < EPSILON:
-                        break
-                    if steps >= step_cap:
-                        mem.ops += steps
-                        raise CrashSignal(CrashReason.STEP_BUDGET_EXCEEDED)
-                    if steps >= room:
-                        mem.ops += steps + 1
-                        raise CrashSignal(CrashReason.STEP_BUDGET_EXCEEDED)
-                    steps += 1
-                    lane = ctr & 3
-                    if lane == 0:
-                        word = lu64(pool_a + 8 * ((ctr >> 2) % POOL_WORDS))
-                    ctr += 1
-                    ang = ((word >> (16 * lane)) & 0xFFFF) * _ANGLE_SCALE
-                    x += d * cos(ang)
-                    y += d * sin(ang)
-                mem.ops += steps
-                acc += lf(g_a + 8 * boundary_segment(x, y))
-            mem.store_f64(out + 8 * i, acc / nw if nw else 0.0)
-    except CrashSignal as c:
-        return WorkloadResult.crash(c.reason)
-    return finish(mem, lay)
+            x = x0
+            y = y0
+            # steps are charged to mem.ops once the walk ends; room is what the budget has left
+            room = budget - mem.ops
+            steps = 0
+            while True:
+                d = x
+                if 1.0 - x < d:
+                    d = 1.0 - x
+                if y < d:
+                    d = y
+                if 1.0 - y < d:
+                    d = 1.0 - y
+                if d < EPSILON:
+                    break
+                if steps >= step_cap:
+                    mem.ops += steps
+                    raise CrashSignal(CrashReason.STEP_BUDGET_EXCEEDED)
+                if steps >= room:
+                    mem.ops += steps + 1
+                    raise CrashSignal(CrashReason.STEP_BUDGET_EXCEEDED)
+                steps += 1
+                lane = ctr & 3
+                if lane == 0:
+                    word = lu64(pool_a + 8 * ((ctr >> 2) % POOL_WORDS))
+                ctr += 1
+                ang = ((word >> (16 * lane)) & 0xFFFF) * _ANGLE_SCALE
+                x += d * cos(ang)
+                y += d * sin(ang)
+            mem.ops += steps
+            acc += lf(g_a + 8 * boundary_segment(x, y))
+        mem.store_f64(out + 8 * i, acc / nw if nw else 0.0)
+    return out

@@ -28,8 +28,9 @@ def _typed(fmt: str):
 
     A hit is served in the accessor's own frame when the line lies wholly
     within a region (`_lines`), is resident with its masks applied (`_slot`)
-    and no flip or timed fault is bound (`_bindings`). Any other access takes
-    the span check, skipped when its line lies within a region, and then
+    and no flip or timed fault is bound to its slot (`_bindings`; an access
+    applies only its own slot's bindings). Any other access takes the span
+    check, skipped when its line lies within a region, and then
     `CacheModel.load`/`store`; one across a line boundary takes the split path.
     """
     codec = struct.Struct(fmt)
@@ -45,9 +46,9 @@ def _typed(fmt: str):
         la = addr // lb
         if la not in self._lines:
             self._check(addr, size)
-        elif not self._bindings:
+        else:
             li = self._slot.get(la)
-            if li is not None:
+            if li is not None and li not in self._bindings:
                 self.tick = self._lru[li] = self.tick + 1
                 return unpack_from(self._data[li], off)[0]
         buf, off = self.load(addr, size)
@@ -63,9 +64,9 @@ def _typed(fmt: str):
         la = addr // lb
         if la not in self._lines:
             self._check(addr, size)
-        elif not self._bindings:
+        else:
             li = self._slot.get(la)
-            if li is not None:
+            if li is not None and li not in self._bindings:
                 buf = self._data[li]
                 pack_into(buf, off, value)
                 for i, a, o in self._masks[li]:
@@ -194,7 +195,7 @@ class SimMemory(CacheModel):
     def write_bytes(self, addr: int, data: bytes) -> None:
         """Byte-wise store of a block, each byte through the access path."""
         self._check(addr, len(data))
-        for i, b in enumerate(data):
+        for i in range(len(data)):
             self.store(addr + i, data[i:i + 1])
 
     def dump(self, addr: int, n: int) -> bytes:

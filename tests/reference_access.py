@@ -23,7 +23,7 @@ from voltfi.cachesim import (
     map_fault_to_cache,
 )
 from voltfi.faultmap import CorruptionKind, FaultMap, TimingMode
-from voltfi.workloads import WorkloadConfig, WorkloadResult, get
+from voltfi.workloads import WorkloadConfig, WorkloadResult, execute, get
 from voltfi.workloads.memory import Region
 
 _F64 = struct.Struct("<d")
@@ -370,6 +370,6 @@ class SimMemory:
 
 def run_flat(cfg: WorkloadConfig) -> WorkloadResult:
     """Reference run against a flat store with no cache in the path."""
-    lay = get(cfg.benchmark).layout(cfg)
+    lay = get(cfg.benchmark).LAYOUT
     mem = SimMemory(MainMemory(lay.mem_size), lay.regions, cfg.step_budget)
-    return get(cfg.benchmark).run(cfg, mem)
+    return execute(cfg, mem)

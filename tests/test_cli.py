@@ -15,9 +15,19 @@ from voltfi.faultmap import (
     parse_fault_map,
     serialize_fault_map,
 )
-from voltfi.pgm import decode_pgm
 
 SRAM = SramGeometry()
+
+
+def decode_pgm(data: bytes) -> np.ndarray:
+    parts = data.split(b"\n", 3)
+    if len(parts) != 4 or parts[0] != b"P5" or parts[2] != b"255":
+        raise ValueError("not a binary P5 PGM with maxval 255")
+    w, h = (int(t) for t in parts[1].split())
+    raster = parts[3]
+    if len(raster) != w * h:
+        raise ValueError("raster size mismatch")
+    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)
 
 
 def tree_digest(root: Path) -> str:

@@ -8,6 +8,7 @@ step, the same ticks and ops, and the same backing-store bytes.
 """
 
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -27,7 +28,7 @@ from voltfi.faultmap import (
     match_random_map,
 )
 from voltfi.rng import make_rng, substream
-from voltfi.workloads import BENCHMARKS, WorkloadConfig, WorkloadResult, build_memory, get, run_workload
+from voltfi.workloads import BENCHMARKS, WorkloadConfig, WorkloadResult, build_memory, execute, get, run_workload
 from voltfi.workloads.memory import Region, SimMemory
 
 SRAM = SramGeometry()
@@ -134,6 +135,10 @@ SLOT0_BIT0_FLIP = stuck_map((0, CorruptionKind.BIT_FLIP))            # a binding
 # a hit on a line with a flip bound flips it again
 @example(trace=[("store", "u8", 1024, bytes(8)), ("install", 1), ("load", "u8", 1024), ("load", "u8", 1024)],
          maps=[NO_FAULTS, SLOT0_BIT0_FLIP])
+# a flip bound to one line keeps only that line's hits, loads and stores, out of the one-frame path
+@example(trace=[("store", "u8", 1024, bytes(8)), ("store", "u8", 1088, bytes(8)), ("load", "u8", 1088),
+                ("store", "u8", 1024, bytes(8)), ("load", "u8", 1088), ("load", "u8", 1024)],
+         maps=[SLOT0_BIT0_FLIP, NO_FAULTS])
 # a store hit applies the line's stuck-at masks
 @example(trace=[("load", "u8", 1024), ("store", "u8", 1024, bytes(8 * [255])), ("load", "u8", 1024)],
          maps=[SLOT0_BIT0_STUCK0, NO_FAULTS])
@@ -181,12 +186,12 @@ CORPUS = _corpus()
 
 
 def run_reference(cfg, fmap):
-    lay = get(cfg.benchmark).layout(cfg)
+    lay = get(cfg.benchmark).LAYOUT
     lb = GEO.line_bytes
     cache = ref.CacheModel(GEO, ref.MainMemory(((lay.mem_size + lb - 1) // lb) * lb))
     cache.install_fault_map(fmap)
     mem = ref.SimMemory(cache, lay.regions, cfg.step_budget)
-    return get(cfg.benchmark).run(cfg, mem), mem
+    return execute(cfg, mem), mem
 
 
 # (benchmark, map index) -> iterations the periodic-state jump skips; the
@@ -200,7 +205,7 @@ def test_fused_path_matches_reference_on_kernels(bench, map_index):
     fmap = CORPUS[map_index]
     cfg = WorkloadConfig(bench, step_budget=300_000)
     mem = build_memory(cfg, fault_map=fmap)
-    got = get(bench).run(cfg, mem)
+    got = execute(cfg, mem)
     want, ref_mem = run_reference(cfg, fmap)
     assert (got.crash_reason, got.data) == (want.crash_reason, want.data)
     assert (mem.ops, mem.tick) == (ref_mem.ops, ref_mem.store.tick)
@@ -247,10 +252,11 @@ jump_maps = st.builds(add_faults, st.sampled_from((NO_FAULTS, CORPUS[1], CORPUS[
 
 
 def run_both(bench, fmap, step_budget):
-    cfg = WorkloadConfig(bench, step_budget=step_budget, params={"max_iters": JUMP_ITERS[bench]})
+    cfg = WorkloadConfig(bench, step_budget=step_budget)
     mem = build_memory(cfg, fault_map=fmap)
-    got = get(bench).run(cfg, mem)
-    want, ref_mem = run_reference(cfg, fmap)
+    with mock.patch.object(get(bench), "MAX_ITERS", JUMP_ITERS[bench]):
+        got = execute(cfg, mem)
+        want, ref_mem = run_reference(cfg, fmap)
     assert (got.crash_reason, got.data) == (want.crash_reason, want.data)
     assert (mem.ops, mem.tick) == (ref_mem.ops, ref_mem.store.tick)
     if got.is_crash:  # not flushed, so its LRU ticks must agree too
@@ -294,7 +300,7 @@ def test_jump_period_includes_the_loop_carried_locals():
 def test_mc_step_budget_crash_counts_the_exceeding_step():
     cfg = WorkloadConfig("mc", step_budget=50_000)
     mem = build_memory(cfg)
-    r = get("mc").run(cfg, mem)
+    r = execute(cfg, mem)
     assert r.crash_reason is not None and r.crash_reason.value == "step_budget_exceeded"
     assert mem.ops == 50_001
 
@@ -302,9 +308,10 @@ def test_mc_step_budget_crash_counts_the_exceeding_step():
 def test_mc_walk_step_cap_crash_counts_steps_taken():
     # one charge for the point, one for the walk, then three steps; the cap
     # check comes before the fourth step is charged
-    cfg = WorkloadConfig("mc", params={"walk_step_cap": 3})
+    cfg = WorkloadConfig("mc")
     mem = build_memory(cfg)
-    r = get("mc").run(cfg, mem)
+    with mock.patch.object(get("mc"), "WALK_STEP_CAP", 3):
+        r = execute(cfg, mem)
     assert r.crash_reason is not None and r.crash_reason.value == "step_budget_exceeded"
     assert mem.ops == 5
 

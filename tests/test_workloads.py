@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_runs_are_deterministic(bench):
 
 @pytest.mark.parametrize("bench", BENCHMARKS)
 def test_tables_sit_below_all_bulk_data(bench):
-    lay = get(bench).layout(WorkloadConfig(bench))
+    lay = get(bench).LAYOUT
     tables = lay.regions[0]
     others = lay.regions[1:]
     assert tables.name == "tables"
@@ -301,10 +302,11 @@ def test_mc_boundary_segment_of_finite_parameters(x, y, seg):
 def test_sobel_masked_stuck0_is_bitwise_golden():
     # a dim image (pixels <= 15) keeps bit 7 of every image byte zero, and
     # sets 8..15 never hold table lines, so this stuck-at-0 can never fire
-    cfg = WorkloadConfig("sobel", params={"max_val": 15})
-    golden = run_workload(cfg)
+    cfg = WorkloadConfig("sobel")
     m = FaultMap("t", 540, SRAM, (spec(linear_for(15, 1, 391)),))
-    r = run_workload(cfg, fault_map=m)
+    with mock.patch.object(sobel_mod, "MAX_VAL", 15):
+        golden = run_workload(cfg)
+        r = run_workload(cfg, fault_map=m)
     assert not r.is_crash
     assert r.data == golden.data
 
