@@ -1,9 +1,12 @@
 """Set-associative write-back cache with bit-granular fault bindings.
 
 The cache intercepts every read/write request. Installing a fault map binds
-each SRAM bit to a physical cache bit (set, way, bit offset in the line);
-active faults corrupt the stored line on every access that touches it, so
-evictions carry the corruption out to the backing store.
+each SRAM bit to a physical cache bit (set, way, bit offset in the line).
+Every fault then takes one form, whatever its kind and timing: a byte of
+the line, (AND, OR, XOR) masks for it, and the ticks [start, end) at which
+it is active; a transient fault is removed once it fires. Active faults
+corrupt the stored line on every access that touches it, so evictions carry
+the corruption out to the backing store.
 
 Bit numbering inside a line is little-endian: line bit b lives in byte
 b // 8 at weight 1 << (b % 8).
@@ -17,9 +20,11 @@ quarter of the SRAM (rows 96..127) maps to sets 8..15 of way 1.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .faultmap import CorruptionKind, FaultMap, TimingMode
+from .faultmap import CorruptionKind, FaultMap, FaultTiming, TimingMode
 
 
 class CrashReason(enum.Enum):
@@ -92,20 +97,27 @@ class MainMemory:
         self.buf[addr:addr + len(data)] = data
 
 
-class _Binding:
-    """One installed fault on a cache line; mutable for transient removal."""
+class _Binding(NamedTuple):
+    """One fault bound to a cache line, in the one form every fault takes: on
+    an access at a tick in [start, end) its byte becomes (byte & and_ | or_)
+    ^ xor, and a `once` (transient) fault is then removed."""
 
-    __slots__ = ("byte", "mask", "kind", "mode", "fire_tick", "start_tick", "end_tick", "spent")
+    start: int
+    end: float
+    byte: int
+    and_: int
+    or_: int
+    xor: int
+    once: bool
 
-    def __init__(self, bit_in_line: int, kind: CorruptionKind, timing):
-        self.byte = bit_in_line >> 3
-        self.mask = 1 << (bit_in_line & 7)
-        self.kind = kind
-        self.mode = timing.mode
-        self.fire_tick = timing.fire_tick
-        self.start_tick = timing.start_tick
-        self.end_tick = timing.start_tick + timing.duration
-        self.spent = False
+
+def _bind(bit_in_line: int, kind: CorruptionKind, t: FaultTiming) -> _Binding:
+    bit = 1 << (bit_in_line & 7)
+    masks = {CorruptionKind.STUCK_AT_0: (0xFF ^ bit, 0, 0), CorruptionKind.STUCK_AT_1: (0xFF, bit, 0),
+             CorruptionKind.BIT_FLIP: (0xFF, 0, bit)}[kind]
+    start, end = {TimingMode.PERMANENT: (0, math.inf), TimingMode.TRANSIENT: (t.fire_tick, math.inf),
+                  TimingMode.INTERMITTENT: (t.start_tick, t.start_tick + t.duration)}[t.mode]
+    return _Binding(start, end, bit_in_line >> 3, *masks, t.mode is TimingMode.TRANSIENT)
 
 
 class CacheModel:
@@ -116,11 +128,13 @@ class CacheModel:
 
     `_slot` maps the line address of each resident line whose stuck-at masks
     are applied to its slot, so a hit costs one dict lookup and the set scan
-    of `_touch` runs only on a miss. Permanent stuck-at faults become per-slot
-    byte (AND, OR) masks applied after each fill and each store: only those
-    two events change a line's bytes, and fault bits are distinct, so
-    re-applying the masks on any other access would change nothing. Flips and
-    timed faults stay in `_bindings` and apply on every access.
+    of `_touch` runs only on a miss. Every fault becomes a `_Binding`. One
+    active at every tick with no flip part (a permanent stuck-at fault) folds
+    into its slot's byte (AND, OR) masks, applied after each fill and each
+    store: only those two events change a line's bytes, and fault bits are
+    distinct, so re-applying the masks on any other access would change
+    nothing. Every other binding stays in `_bindings` and applies on every
+    access to its slot.
     `workloads.memory.SimMemory` serves hits from these arrays itself.
     """
 
@@ -154,13 +168,13 @@ class CacheModel:
         for f in fmap.faults:
             addr = map_fault_to_cache(f.location.linear(fmap.geometry), self.geometry)
             li = addr.set * self.geometry.associativity + addr.way
-            if f.timing.mode is TimingMode.PERMANENT and f.kind is not CorruptionKind.BIT_FLIP:
-                byte, bit = addr.bit_in_line >> 3, 1 << (addr.bit_in_line & 7)
-                a, o = masks[li].get(byte, (0xFF, 0))
-                masks[li][byte] = (a & ~bit, o) if f.kind is CorruptionKind.STUCK_AT_0 else (a, o | bit)
+            b = _bind(addr.bit_in_line, f.kind, f.timing)
+            if b.end == math.inf and not (b.once or b.xor):  # permanent stuck-at: a slot mask
+                a, o = masks[li].get(b.byte, (0xFF, 0))
+                masks[li][b.byte] = (a & b.and_, o | b.or_)
                 self._n_stuck += 1
             else:
-                self._bindings.setdefault(li, []).append(_Binding(addr.bit_in_line, f.kind, f.timing))
+                self._bindings.setdefault(li, []).append(b)
         self._masks = [tuple((i, a, o) for i, (a, o) in sorted(m.items())) for m in masks]
         self._slot = {}  # resident lines take the new masks on their next access
 
@@ -210,28 +224,13 @@ class CacheModel:
         if bl is None:
             return
         buf = self._data[li]
-        drop = False
-        for b in bl:
-            mode = b.mode
-            if mode is TimingMode.PERMANENT:
-                pass
-            elif mode is TimingMode.TRANSIENT:
-                if b.spent or tick < b.fire_tick:
-                    continue
-                b.spent = True
-                drop = True
-            else:  # intermittent
-                if not (b.start_tick <= tick < b.end_tick):
-                    continue
-            kind = b.kind
-            if kind is CorruptionKind.STUCK_AT_0:
-                buf[b.byte] &= ~b.mask
-            elif kind is CorruptionKind.STUCK_AT_1:
-                buf[b.byte] |= b.mask
-            else:
-                buf[b.byte] ^= b.mask
-        if drop:
-            bl = [b for b in bl if not b.spent]
+        fired = False
+        for start, end, i, a, o, x, once in bl:
+            if start <= tick < end:
+                buf[i] = (buf[i] & a | o) ^ x
+                fired |= once
+        if fired:  # every once binding that has started fired just now
+            bl = [b for b in bl if not (b.once and b.start <= tick)]
             if bl:
                 self._bindings[li] = bl
             else:
@@ -274,7 +273,8 @@ class CacheModel:
 
     def cycle_state(self):
         """Everything the rest of a run reads, as a value compared byte for
-        byte; None while a transient or intermittent fault can still fire.
+        byte; None while a binding can still go from firing to not or back:
+        a `once` binding, or a window that has not closed.
 
         LRU ticks enter only as each set's rank order, which is all that
         victim choice reads; the bindings left then ignore the tick.
@@ -282,7 +282,7 @@ class CacheModel:
         tick = self.tick
         for bl in self._bindings.values():
             for b in bl:
-                if b.mode is TimingMode.TRANSIENT or (b.mode is TimingMode.INTERMITTENT and b.end_tick > tick):
+                if b.once or tick < b.end < math.inf:
                     return None
         lru = self._lru
         assoc = self.geometry.associativity

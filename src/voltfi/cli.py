@@ -26,9 +26,7 @@ from .faultmap import (
     serialize_fault_map,
 )
 from .harness import (
-    GoldenRunError,
     ResultsFormatError,
-    canonical_order,
     format_quality,
     golden_run,
     records_from_csv,
@@ -166,7 +164,7 @@ def cmd_run(cfg: CampaignConfig, out: Path) -> None:
     else:
         with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=init_args) as pool:
             records = list(pool.imap_unordered(_run_task, tasks, chunksize=8))
-    (out / "results.csv").write_bytes(records_to_csv(canonical_order(records)).encode("utf-8"))
+    (out / "results.csv").write_bytes(records_to_csv(records).encode("utf-8"))
     print(f"ran {len(records)} experiments -> {out / 'results.csv'}")
 
 

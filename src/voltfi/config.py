@@ -1,8 +1,8 @@
 """Campaign configuration: flat `section.key = value` text files.
 
 Unknown keys are rejected; command-line flags override file values. The
-defaults are the CampaignConfig field defaults; DEFAULTS spells them as a
-config file would.
+defaults are the CampaignConfig field defaults, which read them from the
+types that own them.
 """
 
 from __future__ import annotations
@@ -10,14 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cachesim import CacheGeometry
-from .faultmap import (
-    DEFAULT_FAULTY_FRACTION,
-    VOLTAGE_SWEEP_MV,
-    CorpusParams,
-    FaultCountDistribution,
-    SpatialParams,
-    SramGeometry,
-)
+from .faultmap import VOLTAGE_SWEEP_MV, CorpusParams, SpatialParams, SramGeometry
+from .rng import substream
 from .workloads import BENCHMARKS, DEFAULT_STEP_BUDGET
 
 
@@ -74,17 +68,17 @@ def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
 class CampaignConfig:
     n_srams: int = 2060
     seed: int = 1
-    faulty_fraction: float = DEFAULT_FAULTY_FRACTION
-    rows: int = 128
-    cols: int = 128
-    mean_run_length: float = 4.0
-    gap_probability: float = 0.2
-    outlier_probability: float = 0.05
-    num_sets: int = 16
-    associativity: int = 2
-    line_bytes: int = 64
+    faulty_fraction: float = CorpusParams.faulty_fraction
+    rows: int = SramGeometry.rows
+    cols: int = SramGeometry.cols
+    mean_run_length: float = SpatialParams.mean_run_length
+    gap_probability: float = SpatialParams.gap_probability
+    outlier_probability: float = SpatialParams.outlier_probability
+    num_sets: int = CacheGeometry.num_sets
+    associativity: int = CacheGeometry.associativity
+    line_bytes: int = CacheGeometry.line_bytes
     benchmarks: tuple[str, ...] = BENCHMARKS
-    methods: tuple[str, ...] = ("HW_FI", "RND_FI")
+    methods: tuple[str, ...] = tuple(METHOD_BY_TOKEN.values())
     voltages: tuple[int, ...] = VOLTAGE_SWEEP_MV
     workload_seed: int = 0
     step_budget: int = DEFAULT_STEP_BUDGET
@@ -101,12 +95,11 @@ class CampaignConfig:
         bad_v = [v for v in self.voltages if v not in VOLTAGE_SWEEP_MV]
         if bad_v:
             raise ConfigError(f"voltages outside the sweep {VOLTAGE_SWEEP_MV}: {bad_v}", "campaign.voltages")
-        bad_m = [m for m in self.methods if m not in METHOD_BY_TOKEN.values()]
-        if bad_m:
-            raise ConfigError(f"unknown methods: {bad_m}", "campaign.methods")
         if self.step_budget < 1:
             raise ConfigError("workload.step_budget must be >= 1", "workload.step_budget")
-        for build, keys in ((self.sram_geometry, ("corpus.rows", "corpus.cols")),
+        for build, keys in ((lambda: substream(self.seed), ("corpus.seed",)),
+                            (lambda: substream(self.workload_seed), ("workload.seed",)),
+                            (self.sram_geometry, ("corpus.rows", "corpus.cols")),
                             (self.cache_geometry, ("cache.num_sets", "cache.associativity", "cache.line_bytes")),
                             (self.corpus_params, ("corpus.faulty_fraction", "spatial.mean_run_length",
                                                   "spatial.gap_probability", "spatial.outlier_probability"))):
@@ -131,24 +124,12 @@ class CampaignConfig:
         return CorpusParams(
             geometry=self.sram_geometry(),
             spatial=SpatialParams(
-                count_dist=FaultCountDistribution.default(),
                 mean_run_length=self.mean_run_length,
                 gap_probability=self.gap_probability,
                 outlier_probability=self.outlier_probability,
             ),
             faulty_fraction=self.faulty_fraction,
         )
-
-
-def _spell(key: str, value) -> str:
-    """A field value as a config file writes it."""
-    if key == "campaign.methods":
-        token_of = {name: tok for tok, name in METHOD_BY_TOKEN.items()}
-        value = tuple(token_of[m] for m in value)
-    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
-
-
-DEFAULTS: dict[str, str] = {key: _spell(key, getattr(CampaignConfig, name)) for key, name in _FIELDS.items()}
 
 
 def _parse(key: str, text: str, default):
@@ -173,32 +154,24 @@ def _parse(key: str, text: str, default):
         raise ConfigError(f"{key} must be {noun}, got {text!r}", key) from None
 
 
-def _build(values: dict[str, str]) -> CampaignConfig:
-    return CampaignConfig(**{name: _parse(key, values[key], getattr(CampaignConfig, name))
-                             for key, name in _FIELDS.items()})
-
-
 def load_config(path: str | None = None, *, seed: int | None = None,
                 jobs: int | None = None) -> CampaignConfig:
-    """Merge defaults, an optional config file, and CLI flag overrides.
+    """The CampaignConfig of the keys an optional config file sets, with CLI
+    flags overriding them; every other field keeps its default.
 
     A value error about keys set from the file starts with `line N:`."""
-    values = dict(DEFAULTS)
-    lines: dict[str, int] = {}
+    given: dict[str, tuple[str, int]] = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            for key, (value, lineno) in parse_config_text(fh.read()).items():
-                values[key] = value
-                lines[key] = lineno
-    if seed is not None:
-        values["corpus.seed"] = str(seed)
-    if jobs is not None:
-        values["run.jobs"] = str(jobs)
-        lines.pop("run.jobs", None)
+            given = parse_config_text(fh.read())
+    flags = {"corpus.seed": seed, "run.jobs": jobs}
+    given = {k: v for k, v in given.items() if flags.get(k) is None}  # a flag replaces the key and its line
     try:
-        return _build(values)
+        fields = {_FIELDS[k]: _parse(k, text, getattr(CampaignConfig, _FIELDS[k])) for k, (text, _) in given.items()}
+        fields.update((_FIELDS[k], v) for k, v in flags.items() if v is not None)
+        return CampaignConfig(**fields)
     except ConfigError as e:  # name the first file line of the keys at fault
-        at = min((lines[k] for k in e.keys if k in lines), default=None)
+        at = min((given[k][1] for k in e.keys if k in given), default=None)
         if at is None:
             raise
         raise ConfigError(f"line {at}: {e}", *e.keys) from None

@@ -150,6 +150,20 @@ class FaultSpec:
             raise ValueError(f"onset voltage {o} mV outside [{VOLTAGE_MIN_MV}, {VOLTAGE_MAX_MV}]")
 
 
+def _check_id(sram_id: str) -> None:
+    if not _ID_RE.match(sram_id):
+        raise ValueError(f"invalid sram_id token: {sram_id!r}")
+
+
+def _check_location(loc: BitLocation, geo: SramGeometry, seen: set[BitLocation]) -> None:
+    """A fault must lie on the grid and not on a location in `seen`, which it joins."""
+    if not (0 <= loc.row < geo.rows and 0 <= loc.col < geo.cols):
+        raise ValueError(f"fault location {loc} outside {geo.rows}x{geo.cols}")
+    if loc in seen:
+        raise ValueError(f"duplicate fault location {loc}")
+    seen.add(loc)
+
+
 @dataclass(frozen=True)
 class FaultMap:
     """Fault set of one SRAM instance at one supply voltage.
@@ -164,17 +178,11 @@ class FaultMap:
     faults: tuple[FaultSpec, ...] = ()
 
     def __post_init__(self):
-        if not _ID_RE.match(self.sram_id):
-            raise ValueError(f"invalid sram_id token: {self.sram_id!r}")
+        _check_id(self.sram_id)
         geo = self.geometry
-        seen = set()
+        seen: set[BitLocation] = set()
         for f in self.faults:
-            loc = f.location
-            if not (0 <= loc.row < geo.rows and 0 <= loc.col < geo.cols):
-                raise ValueError(f"fault location {loc} outside {geo.rows}x{geo.cols}")
-            if loc in seen:
-                raise ValueError(f"duplicate fault location {loc}")
-            seen.add(loc)
+            _check_location(f.location, geo, seen)
         ordered = tuple(sorted(self.faults, key=lambda f: f.location.linear(geo)))
         object.__setattr__(self, "faults", ordered)
 
@@ -303,81 +311,83 @@ def serialize_fault_map(fmap: FaultMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_int(token: str, what: str, line: int) -> int:
+def _parse_int(token: str, what: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise FaultMapFormatError(f"invalid {what}: {token!r}", line) from None
+        raise ValueError(f"invalid {what}: {token!r}") from None
 
 
-def _parse_header_kv(line_text: str, key: str, line: int) -> str:
+def _parse_header_kv(line_text: str, key: str) -> str:
     prefix = key + "="
     if not line_text.startswith(prefix):
-        raise FaultMapFormatError(f"expected '{key}=<value>', got {line_text!r}", line)
+        raise ValueError(f"expected '{key}=<value>', got {line_text!r}")
     return line_text[len(prefix):]
 
 
-def _parse_timing(token: str, line: int) -> FaultTiming:
+def _parse_timing(token: str) -> FaultTiming:
     if token == "permanent":
         return FaultTiming.permanent()
     if token.startswith("transient:"):
-        return FaultTiming.transient(_parse_int(token[10:], "transient tick", line))
+        return FaultTiming.transient(_parse_int(token[10:], "transient tick"))
     if token.startswith("intermittent:"):
         bits = token[13:].split(":")
         if len(bits) != 2:
-            raise FaultMapFormatError(f"invalid intermittent timing: {token!r}", line)
-        return FaultTiming.intermittent(
-            _parse_int(bits[0], "intermittent start", line),
-            _parse_int(bits[1], "intermittent duration", line),
-        )
-    raise FaultMapFormatError(f"unknown timing: {token!r}", line)
+            raise ValueError(f"invalid intermittent timing: {token!r}")
+        return FaultTiming.intermittent(_parse_int(bits[0], "intermittent start"),
+                                        _parse_int(bits[1], "intermittent duration"))
+    raise ValueError(f"unknown timing: {token!r}")
+
+
+_KINDS = {k.value: k for k in CorruptionKind}
+
+
+def _parse_fault(raw: str) -> FaultSpec:
+    toks = raw.split(" ")
+    if toks[0] != "fault" or len(toks) not in (5, 6):
+        raise ValueError(f"expected fault line, got {raw!r}")
+    if toks[3] not in _KINDS:
+        raise ValueError(f"unknown corruption kind: {toks[3]!r}")
+    onset = None
+    if len(toks) == 6:
+        if not toks[5].startswith("onset_mv="):
+            raise ValueError(f"expected onset_mv=<int>, got {toks[5]!r}")
+        onset = _parse_int(toks[5][9:], "onset_mv")
+    location = BitLocation(_parse_int(toks[1], "row"), _parse_int(toks[2], "col"))
+    return FaultSpec(location, _parse_timing(toks[4]), _KINDS[toks[3]], onset)
 
 
 def parse_fault_map(text: str) -> FaultMap:
-    """Parse v1 fault-map text; errors carry the offending line number."""
+    """Parse v1 fault-map text; errors carry the offending line number.
+
+    The types own the checks: a value they reject fails with the line that
+    holds it."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if len(lines) < 5:
         raise FaultMapFormatError("truncated header (need magic + 4 keys)", len(lines) + 1)
-    if lines[0] != FORMAT_MAGIC:
-        raise FaultMapFormatError(f"bad magic line, expected {FORMAT_MAGIC!r}", 1)
-    sram_id = _parse_header_kv(lines[1], "sram_id", 2)
-    if not _ID_RE.match(sram_id):
-        raise FaultMapFormatError(f"invalid sram_id token: {sram_id!r}", 2)
-    voltage = _parse_int(_parse_header_kv(lines[2], "voltage_mv", 3), "voltage_mv", 3)
-    rows = _parse_int(_parse_header_kv(lines[3], "rows", 4), "rows", 4)
-    cols = _parse_int(_parse_header_kv(lines[4], "cols", 5), "cols", 5)
+    i = 1  # the line being read
     try:
+        if lines[0] != FORMAT_MAGIC:
+            raise ValueError(f"bad magic line, expected {FORMAT_MAGIC!r}")
+        i = 2
+        sram_id = _parse_header_kv(lines[1], "sram_id")
+        _check_id(sram_id)
+        ints = []
+        for i, key in enumerate(("voltage_mv", "rows", "cols"), start=3):
+            ints.append(_parse_int(_parse_header_kv(lines[i - 1], key), key))
+        voltage, rows, cols = ints
+        i = 4
         geo = SramGeometry(rows, cols)
+        faults = []
+        seen: set[BitLocation] = set()
+        for i, raw in enumerate(lines[5:], start=6):
+            f = _parse_fault(raw)
+            _check_location(f.location, geo, seen)
+            faults.append(f)
     except ValueError as e:
-        raise FaultMapFormatError(str(e), 4) from None
-
-    kinds = {k.value: k for k in CorruptionKind}
-    faults = []
-    seen: set[tuple[int, int]] = set()
-    for i, raw in enumerate(lines[5:], start=6):
-        toks = raw.split(" ")
-        if toks[0] != "fault" or len(toks) not in (5, 6):
-            raise FaultMapFormatError(f"expected fault line, got {raw!r}", i)
-        row = _parse_int(toks[1], "row", i)
-        col = _parse_int(toks[2], "col", i)
-        if not (0 <= row < geo.rows and 0 <= col < geo.cols):
-            raise FaultMapFormatError(f"location ({row}, {col}) outside {geo.rows}x{geo.cols}", i)
-        if (row, col) in seen:
-            raise FaultMapFormatError(f"duplicate fault location ({row}, {col})", i)
-        seen.add((row, col))
-        if toks[3] not in kinds:
-            raise FaultMapFormatError(f"unknown corruption kind: {toks[3]!r}", i)
-        timing = _parse_timing(toks[4], i)
-        onset = None
-        if len(toks) == 6:
-            if not toks[5].startswith("onset_mv="):
-                raise FaultMapFormatError(f"expected onset_mv=<int>, got {toks[5]!r}", i)
-            onset = _parse_int(toks[5][9:], "onset_mv", i)
-            if not VOLTAGE_MIN_MV <= onset <= VOLTAGE_MAX_MV:
-                raise FaultMapFormatError(f"onset_mv {onset} outside [{VOLTAGE_MIN_MV}, {VOLTAGE_MAX_MV}]", i)
-        faults.append(FaultSpec(BitLocation(row, col), timing, kinds[toks[3]], onset))
+        raise FaultMapFormatError(str(e), i) from None
     return FaultMap(sram_id, voltage, geo, tuple(faults))
 
 
@@ -420,20 +430,21 @@ def generate_hwlike_sram(
 ) -> tuple[FaultSpec, ...]:
     """Generate one SRAM's full fault set with weak-column vertical runs.
 
-    The drawn fault count is split over K = max(1, round(N / mean_run_length))
-    runs in distinct columns. Each run is anchored at a row in the bottom
-    quartile and grows upward, skipping bits with the gap probability. The
-    bottom bit of a run draws its onset voltage from RUN_ONSET_CHOICES_MV and
-    onsets drop by 0 or 10 mV per bit upward (equal odds, floored at 540 mV),
-    which guarantees voltage inclusion by construction. Each fault is finally
-    relocated to a uniform random free bit with the outlier probability,
-    keeping its onset.
+    The drawn fault count is split over K = max(1, round(N / mean_run_length),
+    ceil(N / rows)) runs in distinct columns. Each run is anchored at a row in
+    the bottom quartile and grows upward, skipping bits with the gap
+    probability; a run that reaches the top row fills in below its anchor,
+    then the gaps it skipped. The bottom bit of a run draws its onset voltage
+    from RUN_ONSET_CHOICES_MV and onsets drop by 0 or 10 mV per bit upward
+    (equal odds, floored at 540 mV), which guarantees voltage inclusion by
+    construction. Each fault is finally relocated to a uniform random free
+    bit with the outlier probability, keeping its onset.
     """
     rng = make_rng(seed)
     n = min(params.count_dist.sample(rng), geometry.capacity)
     if n == 0:
         return ()
-    k = max(1, round(n / params.mean_run_length))
+    k = max(1, round(n / params.mean_run_length), -(-n // geometry.rows))
     k = min(k, geometry.cols)
     run_cols = [int(c) for c in rng.choice(geometry.cols, size=k, replace=False)]
     base, extra = divmod(n, k)
@@ -452,11 +463,14 @@ def generate_hwlike_sram(
                 rows_in_run.append(row)
             row -= 1
         # Ran off the top (only possible for very dense runs): extend below
-        # the anchor, which is always free within this column.
+        # the anchor, which is always free within this column, and past the
+        # bottom row, fill the gap rows skipped above it.
         row = anchor + 1
-        while len(rows_in_run) < want:
+        while len(rows_in_run) < want and row < geometry.rows:
             rows_in_run.append(row)
             row += 1
+        if len(rows_in_run) < want:
+            rows_in_run += [r for r in range(anchor, -1, -1) if r not in rows_in_run][:want - len(rows_in_run)]
         rows_in_run.sort(reverse=True)
         onset = int(rng.choice(RUN_ONSET_CHOICES_MV))
         for step, r in enumerate(rows_in_run):

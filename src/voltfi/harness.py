@@ -58,6 +58,8 @@ class QualityValue:
     def __post_init__(self):
         if self.metric not in (PSNR_DB, AVG_REL_ERR, CLUSTER_ACC_PCT):
             raise ValueError(f"unknown quality metric {self.metric!r}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"quality value must be finite, got {self.value}")
         if self.metric == AVG_REL_ERR and not 0.0 <= self.value <= 1.0:
             raise ValueError("relative error must be clamped to [0, 1]")
         if self.metric == CLUSTER_ACC_PCT and not 0.0 <= self.value <= 100.0:

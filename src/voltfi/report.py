@@ -25,24 +25,20 @@ OUTCOME_COLORS = {"correct": "#4caf50", "sdc": "#ff9800", "crash": "#f44336"}
 METHOD_COLORS = {"HW_FI": "#1f77b4", "RND_FI": "#d62728"}
 
 
-def classification_csv(report: AggregateReport) -> str:
-    lines = ["benchmark,method,n,correct,sdc,crash"]
-    for (bench, method), fr in report.classification.items():
-        lines.append(
-            f"{bench},{method},{fr.n},{format_quality(fr.correct)},"
-            f"{format_quality(fr.sdc)},{format_quality(fr.crash)}"
-        )
+def _fractions_csv(key_header: str, fractions: dict) -> str:
+    """One row of outcome fractions per key of a (key pair -> OutcomeFractions) view."""
+    lines = [key_header + ",n,correct,sdc,crash"]
+    for (a, b), fr in fractions.items():
+        lines.append(f"{a},{b},{fr.n}," + ",".join(map(format_quality, (fr.correct, fr.sdc, fr.crash))))
     return "\n".join(lines) + "\n"
+
+
+def classification_csv(report: AggregateReport) -> str:
+    return _fractions_csv("benchmark,method", report.classification)
 
 
 def counts_csv(report: AggregateReport) -> str:
-    lines = ["method,fault_count,n,correct,sdc,crash"]
-    for (method, count), fr in report.by_fault_count.items():
-        lines.append(
-            f"{method},{count},{fr.n},{format_quality(fr.correct)},"
-            f"{format_quality(fr.sdc)},{format_quality(fr.crash)}"
-        )
-    return "\n".join(lines) + "\n"
+    return _fractions_csv("method,fault_count", report.by_fault_count)
 
 
 def quality_summary_csv(report: AggregateReport) -> str:

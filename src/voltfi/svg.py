@@ -13,24 +13,18 @@ class SvgCanvas:
         self.height = height
         self._parts: list[str] = []
 
-    def rect(self, x, y, w, h, fill, stroke=None):
-        s = f' stroke="{stroke}"' if stroke else ""
+    def rect(self, x, y, w, h, fill):
+        self._parts.append(f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" fill="{fill}"/>')
+
+    def line(self, x1, y1, x2, y2, stroke):
         self._parts.append(
-            f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" fill="{fill}"{s}/>'
+            f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" stroke="{stroke}" stroke-width="1.00"/>'
         )
 
-    def line(self, x1, y1, x2, y2, stroke, width=1.0):
-        self._parts.append(
-            f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" '
-            f'stroke="{stroke}" stroke-width="{_f(width)}"/>'
-        )
-
-    def polyline(self, points, stroke, width=1.5, dash=None):
+    def polyline(self, points, stroke, dash=None):
         pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in points)
         d = f' stroke-dasharray="{dash}"' if dash else ""
-        self._parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{stroke}" stroke-width="{_f(width)}"{d}/>'
-        )
+        self._parts.append(f'<polyline points="{pts}" fill="none" stroke="{stroke}" stroke-width="1.50"{d}/>')
 
     def polygon(self, points, fill, stroke=None):
         pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in points)

@@ -16,6 +16,7 @@ keep their pointer/index tables in the low region below every bulk-data byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +41,16 @@ class WorkloadConfig:
 @dataclass(frozen=True)
 class Layout:
     regions: tuple[Region, ...]
-    output_bytes: int
     output_dtype: str  # "u8" | "f64"
     output_shape: tuple[int, ...]
 
     @property
     def mem_size(self) -> int:
         return max(r.end for r in self.regions)
+
+    @property
+    def output_bytes(self) -> int:
+        return math.prod(self.output_shape) * {"u8": 1, "f64": 8}[self.output_dtype]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ OUT = DATA_BASE + N_OPTIONS * OPTION_BYTES
 LAYOUT = Layout(
     regions=(Region("tables", TAB_BASE, (N_OPTIONS // CHUNK) * 8),
              Region("data", DATA_BASE, OUT + N_OPTIONS * 8 - DATA_BASE)),
-    output_bytes=N_OPTIONS * 8,
     output_dtype="f64",
     output_shape=(N_OPTIONS,),
 )

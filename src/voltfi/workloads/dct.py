@@ -28,7 +28,6 @@ COEF = SCR + 512
 QT = COEF + 512
 LAYOUT = Layout(
     regions=(Region("tables", TAB_BASE, NB * NB * 8), Region("data", DATA_BASE, QT + 64 - DATA_BASE)),
-    output_bytes=IMG * IMG,
     output_dtype="u8",
     output_shape=(IMG, IMG),
 )

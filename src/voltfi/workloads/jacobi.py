@@ -30,7 +30,6 @@ X1 = X0 + N * 8
 # the output is the final iterate, which may sit in either buffer
 LAYOUT = Layout(
     regions=(Region("tables", TAB_BASE, N * 8), Region("data", DATA_BASE, X1 + N * 8 - DATA_BASE)),
-    output_bytes=N * 8,
     output_dtype="f64",
     output_shape=(N,),
 )

@@ -39,7 +39,6 @@ CENT_TAB = TAB_BASE + (N_POINTS // CHUNK) * 8
 LAYOUT = Layout(
     regions=(Region("tables", TAB_BASE, CENT_TAB + K * 8 - TAB_BASE),
              Region("data", DATA_BASE, COUNTS + K * 8 - DATA_BASE)),
-    output_bytes=N_POINTS,
     output_dtype="u8",
     output_shape=(N_POINTS,),
 )

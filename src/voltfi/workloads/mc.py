@@ -40,7 +40,6 @@ POOL = G + SEGMENTS * 8
 OUT = POOL + POOL_WORDS * 8
 LAYOUT = Layout(
     regions=(Region("tables", TAB_BASE, N_POINTS * 4), Region("data", DATA_BASE, OUT + N_POINTS * 8 - DATA_BASE)),
-    output_bytes=N_POINTS * 8,
     output_dtype="f64",
     output_shape=(N_POINTS,),
 )

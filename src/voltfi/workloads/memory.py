@@ -95,8 +95,6 @@ class SimMemory(CacheModel):
 
     def __init__(self, geometry: CacheGeometry, backing: MainMemory,
                  regions: tuple[Region, ...], step_budget: int):
-        if step_budget < 1:
-            raise ValueError("step_budget must be >= 1")
         spans = sorted((r.base, r.end) for r in regions)
         for (b0, e0), (b1, _) in zip(spans, spans[1:]):
             if b1 < e0:

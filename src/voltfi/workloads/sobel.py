@@ -19,7 +19,6 @@ MAX_VAL = 255  # brightest input pixel
 OUT = DATA_BASE + IMG * IMG
 LAYOUT = Layout(
     regions=(Region("tables", TAB_BASE, IMG * 8), Region("data", DATA_BASE, 2 * IMG * IMG)),
-    output_bytes=IMG * IMG,
     output_dtype="u8",
     output_shape=(IMG, IMG),
 )

@@ -15,13 +15,7 @@ from __future__ import annotations
 
 import struct
 
-from voltfi.cachesim import (
-    CacheGeometry,
-    CrashReason,
-    CrashSignal,
-    _Binding,
-    map_fault_to_cache,
-)
+from voltfi.cachesim import CacheGeometry, CrashReason, CrashSignal, map_fault_to_cache
 from voltfi.faultmap import CorruptionKind, FaultMap, TimingMode
 from voltfi.workloads import WorkloadConfig, WorkloadResult, execute, get
 from voltfi.workloads.memory import Region
@@ -36,6 +30,22 @@ _pack_u32 = _U32.pack
 _unpack_f64 = _F64.unpack_from
 _unpack_u64 = _U64.unpack_from
 _unpack_u32 = _U32.unpack_from
+
+
+class _Binding:
+    """One installed fault on a cache line; mutable for transient removal."""
+
+    __slots__ = ("byte", "mask", "kind", "mode", "fire_tick", "start_tick", "end_tick", "spent")
+
+    def __init__(self, bit_in_line: int, kind: CorruptionKind, timing):
+        self.byte = bit_in_line >> 3
+        self.mask = 1 << (bit_in_line & 7)
+        self.kind = kind
+        self.mode = timing.mode
+        self.fire_tick = timing.fire_tick
+        self.start_tick = timing.start_tick
+        self.end_tick = timing.start_tick + timing.duration
+        self.spent = False
 
 
 class MainMemory:

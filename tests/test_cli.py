@@ -82,6 +82,8 @@ def test_config_rejects_unknown_and_bad_values(tmp_path):
     ("corpus.seed = 3\ncache.num_sets = 0\n", "line 2: cache geometry fields must be >= 1"),
     ("spatial.gap_probability = 1.5\n", "line 1: gap_probability must be in [0, 1)"),
     ("\nworkload.step_budget = 0\n", "line 2: workload.step_budget must be >= 1"),
+    ("corpus.seed = -1\n", "line 1: expected non-negative integer"),
+    ("run.jobs = 1\nworkload.seed = -5\n", "line 2: expected non-negative integer"),
 ])
 def test_config_value_error_names_its_line(tmp_path, capsys, text, message):
     cfg = write_config(tmp_path, text)

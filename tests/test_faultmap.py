@@ -84,6 +84,8 @@ def test_parse_fault_with_onset_and_timings():
         (lambda L: L + ["fault 1 1 stuckX permanent"], 6, "kind"),
         (lambda L: L + ["fault 1 1 stuck0 never"], 6, "timing"),
         (lambda L: L + ["fault 1 1 stuck0 permanent onset_mv=700"], 6, "onset"),
+        (lambda L: L + ["fault 1 2 stuck0 transient:-1"], 6, "transient"),
+        (lambda L: L + ["fault 1 2 stuck0 intermittent:0:0"], 6, "intermittent"),
         (lambda L: L[:3], 4, "header"),
     ],
 )
@@ -251,6 +253,19 @@ def test_default_distribution_headline_frequencies():
 def test_hwlike_zero_count_gives_empty_set():
     params = SpatialParams(count_dist=FaultCountDistribution.point_mass(0))
     assert generate_hwlike_sram(GEO, params, 1) == ()
+
+
+def test_hwlike_long_runs_stay_on_the_grid():
+    # 120 faults in one run overflow the rows below the anchor and fill the
+    # gaps above it; 300 need at least three columns of 128 rows.
+    for count in (120, 300):
+        params = SpatialParams(count_dist=FaultCountDistribution.point_mass(count), mean_run_length=1000.0)
+        for s in range(20):
+            faults = generate_hwlike_sram(GEO, params, s)
+            assert FaultMap("x", 540, GEO, faults).fault_count == count
+    # the corpus draw whose run once ended at row 128
+    corpus = generate_corpus(300, CorpusParams(spatial=SpatialParams(mean_run_length=200.0)), 1)
+    assert len(corpus) == 300 * len(VOLTAGE_SWEEP_MV)
 
 
 def test_hwlike_counts_and_onsets():

@@ -7,7 +7,9 @@ in `tests/reference_access.py`: the same values, the same crash at the same
 step, the same ticks and ops, and the same backing-store bytes.
 """
 
+import ast
 import struct
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -336,3 +338,12 @@ kernel_maps = st.lists(
 def test_kernels_end_as_result_under_any_faults(bench, fmap):
     result = run_workload(WorkloadConfig(bench, step_budget=20_000), fault_map=fmap)
     assert isinstance(result, WorkloadResult)
+
+
+def test_reference_imports_no_private_voltfi_name():
+    # the oracle copies what it needs, so it shares no access code with the fused path
+    tree = ast.parse(Path(ref.__file__).read_text(encoding="utf-8"))
+    private = [a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "voltfi"
+               for a in node.names if a.name.startswith("_")]
+    assert private == []

@@ -211,6 +211,10 @@ def test_quality_value_bounds():
         QualityValue(CLUSTER_ACC_PCT, -1.0)
     with pytest.raises(ValueError):
         QualityValue(PSNR_DB, 0.0)
+    for metric in (PSNR_DB, AVG_REL_ERR, CLUSTER_ACC_PCT):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                QualityValue(metric, value)
     QualityValue(PSNR_DB, 12.5)
 
 
@@ -309,5 +313,9 @@ def test_results_csv_error_rows():
     bad = "\n".join([good[0], "sobel,HW_FI,s0,540,2,correct,psnr_db,12.0", ""])
     with pytest.raises(ResultsFormatError):
         records_from_csv(bad)
+    bad = "\n".join([good[0], "sobel,HW_FI,s0,540,2,correct,,", "sobel,HW_FI,s0,540,2,sdc,psnr_db,inf", ""])
+    with pytest.raises(ResultsFormatError) as e:
+        records_from_csv(bad)
+    assert e.value.row == 3 and "finite" in str(e.value)
     with pytest.raises(ResultsFormatError):
         records_from_csv("wrong,header\n")
