@@ -124,17 +124,18 @@ class CacheModel:
     """Write-back, write-allocate, LRU cache over a MainMemory.
 
     Faults corrupt data bits only, never tags or state bits. The tick
-    counter advances by one per access.
+    counter advances by one per access. Installing a fault map flushes
+    first, so every map starts on a cold cache and every resident line was
+    filled under the map installed.
 
-    `_slot` maps the line address of each resident line whose stuck-at masks
-    are applied to its slot, so a hit costs one dict lookup and the set scan
-    of `_touch` runs only on a miss. Every fault becomes a `_Binding`. One
-    active at every tick with no flip part (a permanent stuck-at fault) folds
-    into its slot's byte (AND, OR) masks, applied after each fill and each
-    store: only those two events change a line's bytes, and fault bits are
-    distinct, so re-applying the masks on any other access would change
-    nothing. Every other binding stays in `_bindings` and applies on every
-    access to its slot.
+    `_addr` holds the line address in each slot and `_slot` is its inverse,
+    so a hit costs one dict lookup and `_touch` runs only on a miss. Every
+    fault becomes a `_Binding`. One active at every tick with no flip part
+    (a permanent stuck-at fault) folds into its slot's byte (AND, OR) masks,
+    applied after each fill and each store: only those two events change a
+    line's bytes, and fault bits are distinct, so re-applying the masks on
+    any other access would change nothing. Every other binding stays in
+    `_bindings` and applies on every access to its slot.
     `workloads.memory.SimMemory` serves hits from these arrays itself.
     """
 
@@ -145,7 +146,7 @@ class CacheModel:
         self.backing = backing
         n = geometry.num_lines
         self._lb = geometry.line_bytes
-        self._tags = [-1] * n
+        self._addr = [-1] * n  # slot -> line address it holds, -1 if invalid
         self._dirty = [False] * n
         self._lru = [0] * n
         self._data = [memoryview(bytearray(geometry.line_bytes)) for _ in range(n)]  # slice stores into a view are cheaper
@@ -156,12 +157,13 @@ class CacheModel:
         self.tick = 0
 
     def install_fault_map(self, fmap: FaultMap) -> None:
-        """Bind every fault of the map; clears previously installed bindings."""
+        """Flush, then bind every fault of the map in place of the installed ones."""
         if fmap.geometry.capacity != self.geometry.capacity_bits:
             raise ValueError(
                 f"fault map capacity {fmap.geometry.capacity} != cache capacity "
                 f"{self.geometry.capacity_bits} bits"
             )
+        self.flush()
         self._bindings = {}
         masks = [{} for _ in self._masks]  # slot -> byte -> (and mask, or mask)
         self._n_stuck = 0
@@ -176,7 +178,6 @@ class CacheModel:
             else:
                 self._bindings.setdefault(li, []).append(b)
         self._masks = [tuple((i, a, o) for i, (a, o) in sorted(m.items())) for m in masks]
-        self._slot = {}  # resident lines take the new masks on their next access
 
     def fault_binding_count(self) -> int:
         return self._n_stuck + sum(len(v) for v in self._bindings.values())
@@ -184,38 +185,29 @@ class CacheModel:
     # -- access path --------------------------------------------------------
 
     def _touch(self, addr: int, n: int) -> int:
-        """Miss path: bring the line holding [addr, addr+n) resident with its
-        stuck-at masks applied; returns its slot."""
+        """Miss path: fill the line holding [addr, addr+n) with its stuck-at
+        masks applied; returns its slot."""
         if addr < 0 or addr + n > self.backing.size:
             raise CrashSignal(CrashReason.OUT_OF_RANGE)
         lb = self._lb
         la = addr // lb
         if (addr + n - 1) // lb != la:
             raise ValueError("request spans a cache line boundary")
-        geo = self.geometry
-        ns = geo.num_sets
-        si = la % ns
-        tag = la // ns
-        assoc = geo.associativity
-        base = si * assoc
-        tags = self._tags
-        for li in range(base, base + assoc):
-            if tags[li] == tag:
-                break  # resident from before the last install_fault_map
-        else:
-            # miss: an invalid way (lru 0) first, else the LRU victim (ticks are distinct)
-            li = min(range(base, base + assoc), key=self._lru.__getitem__)
-            old = tags[li]
-            if old >= 0:
-                self._slot.pop(old * ns + si, None)
-                if self._dirty[li]:
-                    self.backing.write((old * ns + si) * lb, bytes(self._data[li]))
-            self._data[li][:] = self.backing.read(la * lb, lb)
-            tags[li] = tag
-            self._dirty[li] = False
+        assoc = self.geometry.associativity
+        base = (la % self.geometry.num_sets) * assoc
+        # an invalid way (lru 0) first, else the LRU victim (ticks are distinct)
+        li = min(range(base, base + assoc), key=self._lru.__getitem__)
+        old = self._addr[li]
+        if old >= 0:
+            del self._slot[old]
+            if self._dirty[li]:
+                self.backing.write(old * lb, bytes(self._data[li]))
         buf = self._data[li]
+        buf[:] = self.backing.read(la * lb, lb)
         for i, a, o in self._masks[li]:
             buf[i] = buf[i] & a | o
+        self._addr[li] = la
+        self._dirty[li] = False
         self._slot[la] = li
         return li
 
@@ -288,8 +280,7 @@ class CacheModel:
         assoc = self.geometry.associativity
         ranks = tuple(tuple(sorted(range(base, base + assoc), key=lru.__getitem__))
                       for base in range(0, len(lru), assoc))
-        return (bytes(self.backing.buf), b"".join(self._data), tuple(self._tags), tuple(self._dirty),
-                ranks, tuple(sorted(self._slot.values())))
+        return bytes(self.backing.buf), b"".join(self._data), tuple(self._addr), tuple(self._dirty), ranks
 
     def advance(self, since: int, dtick: int) -> None:
         """Move the clock on by dtick, as repeats of the accesses made after
@@ -299,15 +290,10 @@ class CacheModel:
 
     def flush(self) -> None:
         """Write back all dirty lines and invalidate; idempotent."""
-        geo = self.geometry
-        ns = geo.num_sets
-        lb = geo.line_bytes
-        assoc = geo.associativity
-        for li in range(geo.num_lines):
-            if self._tags[li] >= 0 and self._dirty[li]:
-                si = li // assoc
-                self.backing.write((self._tags[li] * ns + si) * lb, bytes(self._data[li]))
-            self._tags[li] = -1
-            self._dirty[li] = False
-            self._lru[li] = 0
+        lb = self._lb
+        for li, la in enumerate(self._addr):
+            if la >= 0 and self._dirty[li]:
+                self.backing.write(la * lb, bytes(self._data[li]))
+        n = self.geometry.num_lines
+        self._addr, self._dirty, self._lru = [-1] * n, [False] * n, [0] * n
         self._slot.clear()

@@ -17,7 +17,6 @@ from pathlib import Path
 from .cachesim import CacheGeometry
 from .config import METHOD_BY_TOKEN, CampaignConfig, ConfigError, load_config
 from .faultmap import (
-    FaultMapFormatError,
     VOLTAGE_SWEEP_MV,
     generate_corpus,
     match_random_map,
@@ -26,7 +25,6 @@ from .faultmap import (
     serialize_fault_map,
 )
 from .harness import (
-    ResultsFormatError,
     format_quality,
     golden_run,
     records_from_csv,
@@ -214,7 +212,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"voltfi: config error: {e}", file=sys.stderr)
         return 1
-    except (OSError, RuntimeError, FaultMapFormatError, ResultsFormatError, ValueError) as e:
+    except (OSError, RuntimeError, ValueError) as e:
         print(f"voltfi: error: {e}", file=sys.stderr)
         return 2
     return 0

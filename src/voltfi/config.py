@@ -1,6 +1,7 @@
 """Campaign configuration: flat `section.key = value` text files.
 
-Unknown keys are rejected; command-line flags override file values. The
+Unknown keys, keys set twice, empty lists and lists that give a value
+twice are rejected; command-line flags override file values. The
 defaults are the CampaignConfig field defaults, which read them from the
 types that own them.
 """
@@ -60,6 +61,8 @@ def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in overrides:
+            raise ConfigError(f"line {lineno}: {key} set twice, first on line {overrides[key][1]}")
         overrides[key] = (value, lineno)
     return overrides
 
@@ -106,7 +109,7 @@ class CampaignConfig:
             try:
                 build()
             except ValueError as e:
-                raise ConfigError(str(e), *keys) from None
+                raise ConfigError(f"{e} ({', '.join(keys)})", *keys) from None
         if self.cache_geometry().capacity_bits != self.sram_geometry().capacity:
             raise ConfigError(
                 "cache capacity must equal SRAM capacity "
@@ -136,17 +139,24 @@ def _parse(key: str, text: str, default):
     """A config value as the type of its field's default."""
     if isinstance(default, tuple):
         toks = tuple(tok.strip() for tok in text.split(",") if tok.strip())
+        if not toks:
+            raise ConfigError(f"{key} must not be empty", key)
         if key == "campaign.methods":
             for tok in toks:
                 if tok not in METHOD_BY_TOKEN:
                     raise ConfigError(f"campaign.methods tokens must be hw/rnd, got {tok!r}", key)
-            return tuple(METHOD_BY_TOKEN[tok] for tok in toks)
-        if isinstance(default[0], int):
+            values = tuple(METHOD_BY_TOKEN[tok] for tok in toks)
+        elif isinstance(default[0], int):
             try:
-                return tuple(int(tok) for tok in toks)
+                values = tuple(int(tok) for tok in toks)
             except ValueError:
                 raise ConfigError(f"{key} must be integers", key) from None
-        return toks
+        else:
+            values = toks
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ConfigError(f"{key} lists {toks[i]!r} twice", key)
+        return values
     kind, noun = (float, "a number") if isinstance(default, float) else (int, "an integer")
     try:
         return kind(text)

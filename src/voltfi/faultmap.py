@@ -22,6 +22,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -217,13 +218,8 @@ class FaultCountDistribution:
 
     @cached_property
     def cumulative(self) -> tuple[float, ...]:
-        cum = []
-        acc = 0.0
-        for m in self.masses:
-            acc += m
-            cum.append(acc)
-        cum[-1] = max(cum[-1], 1.0)
-        return tuple(cum)
+        *cum, last = accumulate(self.masses, initial=0.0)
+        return (*cum[1:], max(last, 1.0))
 
     def sample(self, rng: np.random.Generator) -> int:
         r = float(rng.random())

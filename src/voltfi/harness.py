@@ -263,10 +263,6 @@ def quality_summary(values) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def canonical_order(records) -> list[ExperimentRecord]:
-    return sorted(records, key=lambda r: (r.benchmark, r.method, r.sram_id, r.voltage_mv))
-
-
 def format_quality(value: float) -> str:
     return f"{value:.9g}"
 
@@ -274,7 +270,7 @@ def format_quality(value: float) -> str:
 def records_to_csv(records) -> str:
     """Canonically ordered results CSV with LF endings."""
     out = [RESULTS_HEADER]
-    for r in canonical_order(records):
+    for r in sorted(records, key=lambda r: (r.benchmark, r.method, r.sram_id, r.voltage_mv)):
         metric = r.quality.metric if r.quality is not None else ""
         quality = format_quality(r.quality.value) if r.quality is not None else ""
         out.append(

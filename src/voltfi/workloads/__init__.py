@@ -5,7 +5,7 @@ boundary estimation), sobel, and kmeans. Each runs at one fixed size, set
 by its module constants, and each kernel module exposes
 
 * ``LAYOUT``  - memory regions and the output's size, dtype and shape,
-* ``init(config, mem)`` - writes inputs through the access path,
+* ``init(config, mem)`` - stores inputs through the typed accessors,
 * ``run(config, mem)``  - init, compute, and return the output's address;
   a CrashSignal propagates,
 
@@ -72,10 +72,6 @@ class WorkloadResult:
         np_dtype = {"u8": np.uint8, "f64": "<f8"}[self.dtype]
         return np.frombuffer(self.data, dtype=np_dtype).reshape(self.shape)
 
-    @classmethod
-    def crash(cls, reason: CrashReason) -> "WorkloadResult":
-        return cls(crash_reason=reason)
-
 
 from . import blackscholes, dct, jacobi, kmeans, mc, sobel  # noqa: E402
 
@@ -116,7 +112,7 @@ def execute(cfg: WorkloadConfig, mem) -> WorkloadResult:
     try:
         addr = kernel.run(cfg, mem)
     except CrashSignal as c:
-        return WorkloadResult.crash(c.reason)
+        return WorkloadResult(crash_reason=c.reason)
     lay = kernel.LAYOUT
     mem.flush()
     return WorkloadResult(data=mem.dump(addr, lay.output_bytes), dtype=lay.output_dtype, shape=lay.output_shape)

@@ -77,7 +77,8 @@ def init(cfg: WorkloadConfig, mem: SimMemory) -> None:
     for b in range(nb * nb):
         by, bx = divmod(b, nb)
         mem.store_u64(TAB_BASE + 8 * b, img + (by * BLOCK) * n + bx * BLOCK)
-    mem.write_bytes(img, image.tobytes())
+    for i, v in enumerate(image.tobytes()):
+        mem.store_u8(img + i, v)
     for i, q in enumerate(quant_table(cfg)):
         mem.store_u8(qt + i, q)
 

@@ -27,9 +27,9 @@ def _typed(fmt: str):
     """Class-level (load, store) methods for one little-endian struct format.
 
     A hit is served in the accessor's own frame when the line lies wholly
-    within a region (`_lines`), is resident with its masks applied (`_slot`)
-    and no flip or timed fault is bound to its slot (`_bindings`; an access
-    applies only its own slot's bindings). Any other access takes the span
+    within a region (`_lines`), is resident (`_slot`) and no flip or timed
+    fault is bound to its slot (`_bindings`; an access applies only its own
+    slot's bindings). Any other access takes the span
     check, skipped when its line lies within a region, and then
     `CacheModel.load`/`store`; one across a line boundary takes the split path.
     """
@@ -189,12 +189,6 @@ class SimMemory(CacheModel):
     load_u8, store_u8 = _typed("<B")
 
     # -- bulk helpers ---------------------------------------------------------
-
-    def write_bytes(self, addr: int, data: bytes) -> None:
-        """Byte-wise store of a block, each byte through the access path."""
-        self._check(addr, len(data))
-        for i in range(len(data)):
-            self.store(addr + i, data[i:i + 1])
 
     def dump(self, addr: int, n: int) -> bytes:
         """Read raw bytes from the backing store (call flush first)."""

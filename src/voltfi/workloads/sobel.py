@@ -34,7 +34,8 @@ def init(cfg: WorkloadConfig, mem: SimMemory) -> None:
     image = generate_inputs(cfg)
     for y in range(n):
         mem.store_u64(TAB_BASE + 8 * y, img + y * n)
-    mem.write_bytes(img, image.tobytes())
+    for i, v in enumerate(image.tobytes()):
+        mem.store_u8(img + i, v)
     for x in range(n):  # top and bottom border rows
         mem.store_u8(out + x, 0)
         mem.store_u8(out + (n - 1) * n + x, 0)

@@ -107,12 +107,13 @@ class CacheModel:
         return self.geometry.line_bytes
 
     def install_fault_map(self, fmap: FaultMap) -> None:
-        """Bind every fault of the map; clears previously installed bindings."""
+        """Flush, then bind every fault of the map in place of the installed ones."""
         if fmap.geometry.capacity != self.geometry.capacity_bits:
             raise ValueError(
                 f"fault map capacity {fmap.geometry.capacity} != cache capacity "
                 f"{self.geometry.capacity_bits} bits"
             )
+        self.flush()
         self._bindings = {}
         for f in fmap.faults:
             addr = map_fault_to_cache(f.location.linear(fmap.geometry), self.geometry)
@@ -358,14 +359,6 @@ class SimMemory:
     def store_u8(self, addr: int, value: int) -> None:
         self._check(addr, 1)
         self._store(addr, bytes((value,)))
-
-    # -- bulk helpers ---------------------------------------------------------
-
-    def write_bytes(self, addr: int, data: bytes) -> None:
-        """Byte-wise store of a block, each byte through the access path."""
-        self._check(addr, len(data))
-        for i, b in enumerate(data):
-            self._store(addr + i, data[i:i + 1])
 
     def flush(self) -> None:
         self.store.flush()

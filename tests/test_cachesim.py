@@ -214,7 +214,7 @@ def test_cycle_state_sees_tags_data_dirty_bits_and_backing_store():
     assert state_after(("load", A), ("load", C)) != base                  # a tag
     assert state_after(("zero", A), ("load", B)) != base                  # a dirty bit
     assert state_after(("store", A), ("load", B)) != state_after(("store", A + 1), ("load", B))  # line bytes
-    assert state_after(("load", A), ("load", B), ("install", 0)) != base  # lines whose masks are not yet applied
+    assert state_after(("load", A), ("load", B), ("install", 0)) != base  # an install flushes: no line is valid
     # only the backing store differs: A is evicted and refilled, its stuck-at-1
     # bit set again on the fill, once after a write-back of that bit and once not
     stuck1 = fault_map([(0, CorruptionKind.STUCK_AT_1, FaultTiming.permanent())])
@@ -281,6 +281,18 @@ def test_flush_carries_corruption_and_is_idempotent():
     assert bytes(mem.buf) == snapshot
 
 
+def test_install_over_a_dirty_resident_line_writes_it_back_first():
+    cache, mem = make_cache()
+    cache.store(0, b"\xff")  # line 0 -> set 0 way 0, dirty
+    assert mem.buf[0] == 0
+    cache.install_fault_map(fault_map([(0, CorruptionKind.STUCK_AT_0, FaultTiming.permanent())]))
+    assert mem.buf[0] == 0xFF  # written back as stored, before the new map binds
+    assert cache._addr == [-1] * GEO.num_lines
+    buf, off = cache.load(0, 1)  # a refill, under the new map
+    assert buf[off] == 0xFE
+    assert cache.tick == 2
+
+
 def test_dirty_eviction_writes_back_corrupted_line():
     cache, mem = make_cache()
     cache.install_fault_map(fault_map([(0, CorruptionKind.STUCK_AT_1, FaultTiming.permanent())]))
@@ -297,8 +309,7 @@ def test_lru_replacement_order():
     cache.load(1024, 1)     # set 0, way 1
     cache.load(0, 1)        # touch first again; LRU is now the 1024 line
     cache.load(2048, 1)     # evicts 1024
-    tags = {cache._tags[0], cache._tags[1]}
-    assert tags == {0 // 16, 2048 // 64 // 16}
+    assert {cache._addr[0], cache._addr[1]} == {0, 2048 // 64}
 
 
 # ---------------------------------------------------------------------------

@@ -84,11 +84,25 @@ def test_config_rejects_unknown_and_bad_values(tmp_path):
     ("\nworkload.step_budget = 0\n", "line 2: workload.step_budget must be >= 1"),
     ("corpus.seed = -1\n", "line 1: expected non-negative integer"),
     ("run.jobs = 1\nworkload.seed = -5\n", "line 2: expected non-negative integer"),
+    ("corpus.seed = -1\n", "line 1: expected non-negative integer (corpus.seed)"),
+    ("corpus.seed = 1\nrun.jobs = 2\ncorpus.seed = 2\n", "line 3: corpus.seed set twice, first on line 1"),
+    ("campaign.benchmarks = sobel,sobel\n", "line 1: campaign.benchmarks lists 'sobel' twice"),
+    ("run.jobs = 1\ncampaign.methods = hw,rnd,hw\n", "line 2: campaign.methods lists 'hw' twice"),
+    ("campaign.voltages = 540,550,540\n", "line 1: campaign.voltages lists '540' twice"),
+    ("campaign.benchmarks =\n", "line 1: campaign.benchmarks must not be empty"),
+    ("\ncampaign.methods = ,\n", "line 2: campaign.methods must not be empty"),
+    ("campaign.voltages =  # none\n", "line 1: campaign.voltages must not be empty"),
 ])
 def test_config_value_error_names_its_line(tmp_path, capsys, text, message):
     cfg = write_config(tmp_path, text)
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "genmaps"]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_flag_value_error_names_its_key(tmp_path, capsys):
+    assert main(["--seed", "-1", "--out", str(tmp_path / "o"), "genmaps"]) == 1
+    assert "config error: expected non-negative integer (corpus.seed)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ SLOT0_BIT0_FLIP = stuck_map((0, CorruptionKind.BIT_FLIP))            # a binding
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(trace=traces, maps=st.lists(fault_maps, min_size=2, max_size=2))
-# a map installed over a resident line applies on that line's next access
+# installing a map flushes: the dirty line is written back as stored, and its refill takes the new map
 @example(trace=[("store", "u8", 1024, bytes(8 * [255])), ("install", 1), ("load", "u8", 1024)],
          maps=[NO_FAULTS, SLOT0_BIT0_STUCK0])
 # after a flush a line fills the first way of its set, whatever the old LRU order

@@ -61,7 +61,7 @@ def test_classify_basics():
     golden = WorkloadResult(data=b"abcd", dtype="u8", shape=(4,))
     same = WorkloadResult(data=b"abcd", dtype="u8", shape=(4,))
     diff = WorkloadResult(data=b"abce", dtype="u8", shape=(4,))
-    crash = WorkloadResult.crash(CrashReason.OUT_OF_RANGE)
+    crash = WorkloadResult(crash_reason=CrashReason.OUT_OF_RANGE)
     assert classify(same, golden) is Outcome.CORRECT
     assert classify(diff, golden) is Outcome.SDC
     assert classify(crash, golden) is Outcome.CRASH
