@@ -115,9 +115,8 @@ def _bind(bit_in_line: int, kind: CorruptionKind, t: FaultTiming) -> _Binding:
     bit = 1 << (bit_in_line & 7)
     masks = {CorruptionKind.STUCK_AT_0: (0xFF ^ bit, 0, 0), CorruptionKind.STUCK_AT_1: (0xFF, bit, 0),
              CorruptionKind.BIT_FLIP: (0xFF, 0, bit)}[kind]
-    start, end = {TimingMode.PERMANENT: (0, math.inf), TimingMode.TRANSIENT: (t.fire_tick, math.inf),
-                  TimingMode.INTERMITTENT: (t.start_tick, t.start_tick + t.duration)}[t.mode]
-    return _Binding(start, end, bit_in_line >> 3, *masks, t.mode is TimingMode.TRANSIENT)
+    end = t.start + t.duration if t.mode is TimingMode.INTERMITTENT else math.inf
+    return _Binding(t.start, end, bit_in_line >> 3, *masks, t.mode is TimingMode.TRANSIENT)
 
 
 class CacheModel:

@@ -18,6 +18,8 @@ from .cachesim import CacheGeometry
 from .config import METHOD_BY_TOKEN, CampaignConfig, ConfigError, load_config
 from .faultmap import (
     VOLTAGE_SWEEP_MV,
+    FaultMap,
+    FaultMapFormatError,
     generate_corpus,
     match_random_map,
     parse_fault_map,
@@ -96,7 +98,7 @@ def read_index(out: Path) -> list[dict]:
     text = (out / INDEX_NAME).read_text(encoding="utf-8")
     lines = text.strip("\n").split("\n")
     if not lines or lines[0] != INDEX_HEADER:
-        raise RuntimeError(f"bad corpus index header in {out / INDEX_NAME}")
+        raise RuntimeError(f"{INDEX_NAME} line 1: bad header, expected {INDEX_HEADER!r}")
     entries = []
     for n, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
@@ -119,6 +121,14 @@ def read_index(out: Path) -> list[dict]:
     return entries
 
 
+def _read_map(root: Path, rel: str) -> FaultMap:
+    """The map at root/rel; a format error names the map by its index path."""
+    try:
+        return parse_fault_map((root / rel).read_text(encoding="utf-8"))
+    except FaultMapFormatError as e:
+        raise FaultMapFormatError(f"{rel} {e}") from None
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -139,7 +149,7 @@ def _run_task(task: tuple[str, str, str]):
     if golden is None:
         golden = golden_run(benchmark, wcfg, _WORKER["geometry"])
         _WORKER["goldens"][benchmark] = golden
-    fmap = parse_fault_map((_WORKER["out"] / rel_path).read_text(encoding="utf-8"))
+    fmap = _read_map(_WORKER["out"], rel_path)
     return run_experiment(benchmark, wcfg, fmap, method, golden, _WORKER["geometry"])
 
 
@@ -181,11 +191,7 @@ def cmd_report(results_path: Path, out: Path) -> None:
 
 def cmd_heatmap(corpus_dir: Path, out: Path, method: str) -> None:
     entries = read_index(corpus_dir)
-    maps = []
-    for e in entries:
-        if method != "all" and e["method"] != method:
-            continue
-        maps.append(parse_fault_map((corpus_dir / e["path"]).read_text(encoding="utf-8")))
+    maps = [_read_map(corpus_dir, e["path"]) for e in entries if method in ("all", e["method"])]
     if not maps:
         raise RuntimeError(f"no {method} maps found in {corpus_dir}")
     matrix = probability_heatmap(maps)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .cachesim import CacheGeometry
 from .faultmap import VOLTAGE_SWEEP_MV, CorpusParams, SpatialParams, SramGeometry
+from .harness import HW_FI, RND_FI
 from .rng import substream
 from .workloads import BENCHMARKS, DEFAULT_STEP_BUDGET
 
@@ -24,7 +25,7 @@ class ConfigError(ValueError):
         self.keys = keys
 
 
-METHOD_BY_TOKEN = {"hw": "HW_FI", "rnd": "RND_FI"}
+METHOD_BY_TOKEN = {"hw": HW_FI, "rnd": RND_FI}
 
 # config key -> CampaignConfig field
 _FIELDS = {

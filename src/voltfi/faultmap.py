@@ -96,25 +96,21 @@ class TimingMode(enum.Enum):
 
 @dataclass(frozen=True)
 class FaultTiming:
-    """When a fault is active, in units of cache access ticks.
-
-    Permanent faults are active at every tick. A transient fault fires at
-    the first qualifying access (tick >= fire_tick) and is then removed by
-    the injector. An intermittent fault is active for ticks in
-    [start_tick, start_tick + duration).
-    """
+    """When a fault is active, in cache access ticks, from its one start tick:
+    a permanent fault at every tick (start 0), a transient one at the first
+    access with tick >= start, after which the injector removes it, and an
+    intermittent one at ticks in [start, start + duration). `token()` writes
+    the map-file form and `parse()` reads it back."""
 
     mode: TimingMode = TimingMode.PERMANENT
-    fire_tick: int = 0
-    start_tick: int = 0
+    start: int = 0
     duration: int = 0
 
     def __post_init__(self):
-        if self.mode is TimingMode.TRANSIENT and self.fire_tick < 0:
-            raise ValueError("transient fire_tick must be >= 0")
-        if self.mode is TimingMode.INTERMITTENT:
-            if self.start_tick < 0 or self.duration < 1:
-                raise ValueError("intermittent needs start_tick >= 0 and duration >= 1")
+        if self.mode is TimingMode.TRANSIENT and self.start < 0:
+            raise ValueError("transient fire tick must be >= 0")
+        if self.mode is TimingMode.INTERMITTENT and (self.start < 0 or self.duration < 1):
+            raise ValueError("intermittent needs start tick >= 0 and duration >= 1")
 
     @classmethod
     def permanent(cls) -> "FaultTiming":
@@ -122,18 +118,25 @@ class FaultTiming:
 
     @classmethod
     def transient(cls, fire_tick: int) -> "FaultTiming":
-        return cls(TimingMode.TRANSIENT, fire_tick=fire_tick)
+        return cls(TimingMode.TRANSIENT, fire_tick)
 
     @classmethod
     def intermittent(cls, start_tick: int, duration: int) -> "FaultTiming":
-        return cls(TimingMode.INTERMITTENT, start_tick=start_tick, duration=duration)
+        return cls(TimingMode.INTERMITTENT, start_tick, duration)
 
     def token(self) -> str:
         if self.mode is TimingMode.PERMANENT:
             return "permanent"
         if self.mode is TimingMode.TRANSIENT:
-            return f"transient:{self.fire_tick}"
-        return f"intermittent:{self.start_tick}:{self.duration}"
+            return f"transient:{self.start}"
+        return f"intermittent:{self.start}:{self.duration}"
+
+    @classmethod
+    def parse(cls, token: str) -> "FaultTiming":
+        name, *ticks = token.split(":")
+        if {"permanent": 0, "transient": 1, "intermittent": 2}.get(name) != len(ticks):
+            raise ValueError(f"unknown timing: {token!r}")
+        return cls(TimingMode(name), *(_parse_int(t, f"{name} tick") for t in ticks))
 
 
 @dataclass(frozen=True)
@@ -258,7 +261,7 @@ class SpatialParams:
     outlier_probability: float = 0.05
 
     def __post_init__(self):
-        if self.mean_run_length <= 0:
+        if not self.mean_run_length > 0:
             raise ValueError("mean_run_length must be > 0")
         if not 0 <= self.gap_probability < 1:
             raise ValueError("gap_probability must be in [0, 1)")
@@ -294,16 +297,8 @@ def serialize_fault_map(fmap: FaultMap) -> str:
         f"cols={fmap.geometry.cols}",
     ]
     for f in fmap.faults:
-        parts = [
-            "fault",
-            str(f.location.row),
-            str(f.location.col),
-            f.kind.value,
-            f.timing.token(),
-        ]
-        if f.onset_voltage_mv is not None:
-            parts.append(f"onset_mv={f.onset_voltage_mv}")
-        lines.append(" ".join(parts))
+        onset = "" if f.onset_voltage_mv is None else f" onset_mv={f.onset_voltage_mv}"
+        lines.append(f"fault {f.location.row} {f.location.col} {f.kind.value} {f.timing.token()}{onset}")
     return "\n".join(lines) + "\n"
 
 
@@ -321,20 +316,6 @@ def _parse_header_kv(line_text: str, key: str) -> str:
     return line_text[len(prefix):]
 
 
-def _parse_timing(token: str) -> FaultTiming:
-    if token == "permanent":
-        return FaultTiming.permanent()
-    if token.startswith("transient:"):
-        return FaultTiming.transient(_parse_int(token[10:], "transient tick"))
-    if token.startswith("intermittent:"):
-        bits = token[13:].split(":")
-        if len(bits) != 2:
-            raise ValueError(f"invalid intermittent timing: {token!r}")
-        return FaultTiming.intermittent(_parse_int(bits[0], "intermittent start"),
-                                        _parse_int(bits[1], "intermittent duration"))
-    raise ValueError(f"unknown timing: {token!r}")
-
-
 _KINDS = {k.value: k for k in CorruptionKind}
 
 
@@ -350,7 +331,7 @@ def _parse_fault(raw: str) -> FaultSpec:
             raise ValueError(f"expected onset_mv=<int>, got {toks[5]!r}")
         onset = _parse_int(toks[5][9:], "onset_mv")
     location = BitLocation(_parse_int(toks[1], "row"), _parse_int(toks[2], "col"))
-    return FaultSpec(location, _parse_timing(toks[4]), _KINDS[toks[3]], onset)
+    return FaultSpec(location, FaultTiming.parse(toks[4]), _KINDS[toks[3]], onset)
 
 
 def parse_fault_map(text: str) -> FaultMap:
@@ -392,31 +373,13 @@ def parse_fault_map(text: str) -> FaultMap:
 # ---------------------------------------------------------------------------
 
 
-def generate_random_map(
-    n_faults: int,
-    geometry: SramGeometry,
-    seed: SeedLike | np.random.Generator,
-    *,
-    sram_id: str = "rnd",
-    voltage_mv: int = VOLTAGE_MIN_MV,
-) -> FaultMap:
-    """Uniform-random map: n distinct bits without replacement, permanent stuck-at-0."""
-    if not 0 <= n_faults <= geometry.capacity:
-        raise ValueError(f"n_faults {n_faults} exceeds capacity {geometry.capacity}")
-    rng = make_rng(seed)
-    idx = rng.choice(geometry.capacity, size=n_faults, replace=False)
-    faults = tuple(
-        FaultSpec(BitLocation(int(i) // geometry.cols, int(i) % geometry.cols))
-        for i in np.sort(idx)
-    )
-    return FaultMap(sram_id, voltage_mv, geometry, faults)
-
-
 def match_random_map(hw: FaultMap, seed: SeedLike | np.random.Generator) -> FaultMap:
-    """Random map with the same fault count and geometry as a hardware map."""
-    return generate_random_map(
-        hw.fault_count, hw.geometry, seed, sram_id=hw.sram_id, voltage_mv=hw.voltage_mv
-    )
+    """Uniform-random map matching a hardware map's id, voltage, geometry and
+    fault count: distinct bits without replacement, permanent stuck-at-0."""
+    geo = hw.geometry
+    idx = make_rng(seed).choice(geo.capacity, size=hw.fault_count, replace=False)
+    faults = tuple(FaultSpec(BitLocation(int(i) // geo.cols, int(i) % geo.cols)) for i in np.sort(idx))
+    return FaultMap(hw.sram_id, hw.voltage_mv, geo, faults)
 
 
 def generate_hwlike_sram(

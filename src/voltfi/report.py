@@ -13,7 +13,9 @@ import numpy as np
 
 from .harness import (
     FAULT_COUNT_CUTOFF,
+    HW_FI,
     METHODS,
+    RND_FI,
     AggregateReport,
     aggregate,
     format_quality,
@@ -22,7 +24,7 @@ from .harness import (
 from .svg import SvgCanvas
 
 OUTCOME_COLORS = {"correct": "#4caf50", "sdc": "#ff9800", "crash": "#f44336"}
-METHOD_COLORS = {"HW_FI": "#1f77b4", "RND_FI": "#d62728"}
+METHOD_COLORS = {HW_FI: "#1f77b4", RND_FI: "#d62728"}
 
 
 def _fractions_csv(key_header: str, fractions: dict) -> str:
@@ -82,7 +84,7 @@ def classification_svg(report: AggregateReport) -> str:
                     y -= h
                     c.rect(x, y, bar_w, h, OUTCOME_COLORS[part])
                 c.text(x + bar_w / 2, top + plot_h + 12, method.split("_")[0], size=8, anchor="middle")
-            x += bar_w + (gap if method == "HW_FI" else 0)
+            x += bar_w + (gap if method == HW_FI else 0)
         c.text(x - bar_w - gap / 2, top + plot_h + 26, bench, size=10, anchor="middle")
         x += group_gap
     ly = top

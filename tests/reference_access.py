@@ -35,16 +35,15 @@ _unpack_u32 = _U32.unpack_from
 class _Binding:
     """One installed fault on a cache line; mutable for transient removal."""
 
-    __slots__ = ("byte", "mask", "kind", "mode", "fire_tick", "start_tick", "end_tick", "spent")
+    __slots__ = ("byte", "mask", "kind", "mode", "start", "end", "spent")
 
     def __init__(self, bit_in_line: int, kind: CorruptionKind, timing):
         self.byte = bit_in_line >> 3
         self.mask = 1 << (bit_in_line & 7)
         self.kind = kind
         self.mode = timing.mode
-        self.fire_tick = timing.fire_tick
-        self.start_tick = timing.start_tick
-        self.end_tick = timing.start_tick + timing.duration
+        self.start = timing.start
+        self.end = timing.start + timing.duration
         self.spent = False
 
 
@@ -173,12 +172,12 @@ class CacheModel:
             if mode is TimingMode.PERMANENT:
                 pass
             elif mode is TimingMode.TRANSIENT:
-                if b.spent or tick < b.fire_tick:
+                if b.spent or tick < b.start:
                     continue
                 b.spent = True
                 drop = True
             else:  # intermittent
-                if not (b.start_tick <= tick < b.end_tick):
+                if not (b.start <= tick < b.end):
                     continue
             kind = b.kind
             if kind is CorruptionKind.STUCK_AT_0:

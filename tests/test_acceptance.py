@@ -25,7 +25,6 @@ from voltfi.faultmap import (
     derive_map_at_voltage,
     generate_corpus,
     generate_hwlike_sram,
-    generate_random_map,
     match_random_map,
 )
 from voltfi.harness import (

@@ -92,6 +92,7 @@ def test_config_rejects_unknown_and_bad_values(tmp_path):
     ("campaign.benchmarks =\n", "line 1: campaign.benchmarks must not be empty"),
     ("\ncampaign.methods = ,\n", "line 2: campaign.methods must not be empty"),
     ("campaign.voltages =  # none\n", "line 1: campaign.voltages must not be empty"),
+    ("spatial.mean_run_length = nan\n", "line 1: mean_run_length must be > 0"),
 ])
 def test_config_value_error_names_its_line(tmp_path, capsys, text, message):
     cfg = write_config(tmp_path, text)
@@ -142,6 +143,14 @@ def run_with_index_line(tmp_path, line):
 def test_index_wrong_field_count_exit_2(tmp_path, capsys):
     assert run_with_index_line(tmp_path, "hw,s00,540,2") == 2
     assert "index.csv line 3: expected 5 fields, got 4" in capsys.readouterr().err
+
+
+def test_index_bad_header_names_line_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "index.csv").write_text("method,sram,voltage_mv,fault_count,path\n")
+    assert main(["--out", str(out), "run"]) == 2
+    assert f"index.csv line 1: bad header, expected '{INDEX_HEADER}'" in capsys.readouterr().err
 
 
 def test_index_non_integer_voltage_or_count_exit_2(tmp_path, capsys):
@@ -223,6 +232,19 @@ def test_run_single_map_both_methods_two_rows(tmp_path):
     lines = (out / "results.csv").read_text().strip().split("\n")
     assert len(lines) == 3  # header + 2 data rows
     assert {l.split(",")[1] for l in lines[1:]} == {"HW_FI", "RND_FI"}
+
+
+@pytest.mark.parametrize("command", [["--jobs", "1", "run"], ["--jobs", "2", "run"], ["heatmap"]])
+def test_map_error_names_its_file(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    (out / "maps" / "s00").mkdir(parents=True)
+    (out / "index.csv").write_text(f"{INDEX_HEADER}\nhw,s00,540,1,maps/s00/hw_540.fm\n")
+    (out / "maps" / "s00" / "hw_540.fm").write_text(
+        "# sram-fault-map v1\nsram_id=s00\nvoltage_mv=540\nrows=128\ncols=128\nfault 200 3 stuck0 permanent\n")
+    cfg = write_config(tmp_path, "campaign.benchmarks = sobel,blackscholes\n")  # two tasks, so --jobs 2 uses the pool
+    assert main(["--config", cfg, "--out", str(out), *command]) == 2
+    err = capsys.readouterr().err
+    assert "error: maps/s00/hw_540.fm line 6: fault location" in err and "outside 128x128" in err
 
 
 def test_run_skips_empty_maps(tmp_path):

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from voltfi.faultmap import (
     derive_map_at_voltage,
     generate_corpus,
     generate_hwlike_sram,
-    generate_random_map,
     match_random_map,
     parse_fault_map,
     probability_heatmap,
@@ -27,6 +28,16 @@ from voltfi.faultmap import (
 )
 
 GEO = SramGeometry()
+
+
+@lru_cache
+def _placeholder(n, geo):
+    return FaultMap("rnd", 540, geo, tuple(FaultSpec(BitLocation(i // geo.cols, i % geo.cols)) for i in range(n)))
+
+
+def random_map(n, geo, seed):
+    """A uniform-random map of n faults: match_random_map over a placeholder map holding n."""
+    return match_random_map(_placeholder(n, geo), seed)
 
 
 def hw_fault_sets(n, seed=11, params=SpatialParams()):
@@ -163,17 +174,15 @@ def test_serialize_normalizes_shuffled_fault_lines(m, pyrandom):
 
 
 def test_random_map_zero_and_saturated():
-    assert generate_random_map(0, GEO, 1).fault_count == 0
-    full = generate_random_map(GEO.capacity, GEO, 1)
+    assert random_map(0, GEO, 1).fault_count == 0
+    full = random_map(GEO.capacity, GEO, 1)
     assert full.fault_count == GEO.capacity
-    with pytest.raises(ValueError):
-        generate_random_map(GEO.capacity + 1, GEO, 1)
 
 
 def test_random_map_deterministic_per_seed():
-    a = generate_random_map(600, GEO, 42)
-    b = generate_random_map(600, GEO, 42)
-    c = generate_random_map(600, GEO, 43)
+    a = random_map(600, GEO, 42)
+    b = random_map(600, GEO, 42)
+    c = random_map(600, GEO, 43)
     assert a == b
     assert a != c
     assert all(f.kind is CorruptionKind.STUCK_AT_0 for f in a.faults)
@@ -185,7 +194,7 @@ def test_random_map_uniformity_chi_square():
     # must be consistent with uniform placement at the 0.01 level
     hits = np.zeros((GEO.rows, GEO.cols))
     for s in range(1000):
-        locs = generate_random_map(600, GEO, s).location_array()
+        locs = random_map(600, GEO, s).location_array()
         np.add.at(hits, (locs[:, 0], locs[:, 1]), 1.0)
     assert stats.chisquare(hits.sum(axis=1)).pvalue >= 0.01
     assert stats.chisquare(hits.sum(axis=0)).pvalue >= 0.01
@@ -369,7 +378,7 @@ def test_corpus_deterministic():
 
 
 def test_heatmap_single_map_is_indicator():
-    m = generate_random_map(300, GEO, 2)
+    m = random_map(300, GEO, 2)
     h = probability_heatmap([m])
     locs = m.location_array()
     assert h.sum() == 300
@@ -378,7 +387,7 @@ def test_heatmap_single_map_is_indicator():
 
 
 def test_heatmap_random_corpus_near_uniform():
-    maps = [generate_random_map(600, GEO, s) for s in range(400)]
+    maps = [random_map(600, GEO, s) for s in range(400)]
     h = probability_heatmap(maps)
     p = 600 / GEO.capacity
     sd = (p * (1 - p) / 400) ** 0.5
@@ -402,7 +411,7 @@ def test_heatmap_hwlike_bottom_heavy():
 def test_heatmap_errors():
     with pytest.raises(ValueError):
         probability_heatmap([])
-    a = generate_random_map(5, GEO, 1)
-    b = generate_random_map(5, SramGeometry(64, 256), 1)
+    a = random_map(5, GEO, 1)
+    b = random_map(5, SramGeometry(64, 256), 1)
     with pytest.raises(ValueError):
         probability_heatmap([a, b])
