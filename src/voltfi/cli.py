@@ -9,6 +9,7 @@ usage/config error, 2 runtime or I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import multiprocessing
 import os
 import sys
@@ -90,12 +91,33 @@ def cmd_genmaps(cfg: CampaignConfig, out: Path) -> None:
                 rel = f"maps/{hw.sram_id}/rnd_{hw.voltage_mv}.fm"
                 (out / rel).write_bytes(serialize_fault_map(rnd).encode("utf-8"))
                 index.append(f"rnd,{rnd.sram_id},{rnd.voltage_mv},{rnd.fault_count},{rel}")
-    (out / INDEX_NAME).write_bytes(("\n".join(index) + "\n").encode("utf-8"))
+    _write_atomic(out / INDEX_NAME, ("\n".join(index) + "\n").encode("utf-8"))
     print(f"wrote {len(index) - 1} maps under {out}")
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write path through a temp file beside it, so a cut write leaves the old file whole."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _read_text(path: Path, name: str) -> str:
+    """path as UTF-8 text with universal newlines; a bad byte fails naming name and its line."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data[:e.start].count(b"\n") + 1
+        raise RuntimeError(f"{name} line {line}: not valid UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_index(out: Path) -> list[dict]:
-    text = (out / INDEX_NAME).read_text(encoding="utf-8")
+    text = _read_text(out / INDEX_NAME, INDEX_NAME)
     lines = text.strip("\n").split("\n")
     if not lines or lines[0] != INDEX_HEADER:
         raise RuntimeError(f"{INDEX_NAME} line 1: bad header, expected {INDEX_HEADER!r}")
@@ -123,8 +145,9 @@ def read_index(out: Path) -> list[dict]:
 
 def _read_map(root: Path, rel: str) -> FaultMap:
     """The map at root/rel; a format error names the map by its index path."""
+    text = _read_text(root / rel, rel)
     try:
-        return parse_fault_map((root / rel).read_text(encoding="utf-8"))
+        return parse_fault_map(text)
     except FaultMapFormatError as e:
         raise FaultMapFormatError(f"{rel} {e}") from None
 
@@ -136,44 +159,57 @@ def _read_map(root: Path, rel: str) -> FaultMap:
 _WORKER: dict = {}
 
 
-def _init_worker(out: str, geometry: CacheGeometry, workload_seed: int, step_budget: int) -> None:
-    _WORKER.update(out=Path(out), geometry=geometry, workload_seed=workload_seed,
-                   step_budget=step_budget, goldens={})
+def _init_worker(geometry: CacheGeometry, workload_seed: int, step_budget: int) -> None:
+    _WORKER.update(geometry=geometry, workload_seed=workload_seed, step_budget=step_budget, goldens={})
 
 
-def _run_task(task: tuple[str, str, str]):
-    benchmark, method, rel_path = task
+def _run_task(task: tuple[str, str, FaultMap]):
+    benchmark, method, fmap = task
     wcfg = WorkloadConfig(benchmark, seed=_WORKER["workload_seed"],
                           step_budget=_WORKER["step_budget"])
     golden = _WORKER["goldens"].get(benchmark)
     if golden is None:
         golden = golden_run(benchmark, wcfg, _WORKER["geometry"])
         _WORKER["goldens"][benchmark] = golden
-    fmap = _read_map(_WORKER["out"], rel_path)
     return run_experiment(benchmark, wcfg, fmap, method, golden, _WORKER["geometry"])
 
 
+def _fault_set_key(fmap: FaultMap) -> tuple:
+    """All of a map that the cache reads: maps with equal keys give equal runs."""
+    return fmap.geometry, tuple((f.location, f.kind, f.timing) for f in fmap.faults)
+
+
 def cmd_run(cfg: CampaignConfig, out: Path) -> None:
-    entries = read_index(out)
     voltages = set(cfg.voltages)
-    tasks = []
-    for e in entries:
+    groups: dict[tuple, list[tuple[str, FaultMap]]] = {}  # fault set -> its (method, map)s
+    for e in read_index(out):
         method = METHOD_BY_TOKEN[e["method"]]
         # only maps that manifest errors are simulated
         if e["fault_count"] < 1 or method not in cfg.methods or e["voltage_mv"] not in voltages:
             continue
+        fmap = _read_map(out, e["path"])
+        groups.setdefault(_fault_set_key(fmap), []).append((method, fmap))
+    # one simulation per (benchmark, fault set); its record is copied to every map of the set
+    tasks, fan_out = [], []
+    for maps in groups.values():
         for benchmark in cfg.benchmarks:
-            tasks.append((benchmark, method, e["path"]))
+            tasks.append((benchmark, *maps[0]))
+            fan_out.append(maps)
     jobs = cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
-    init_args = (str(out), cfg.cache_geometry(), cfg.workload_seed, cfg.step_budget)
+    init_args = (cfg.cache_geometry(), cfg.workload_seed, cfg.step_budget)
     if jobs == 1 or len(tasks) < 2:
         _init_worker(*init_args)
-        records = [_run_task(t) for t in tasks]
+        simulated = [_run_task(t) for t in tasks]
     else:
         with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=init_args) as pool:
-            records = list(pool.imap_unordered(_run_task, tasks, chunksize=8))
-    (out / "results.csv").write_bytes(records_to_csv(records).encode("utf-8"))
-    print(f"ran {len(records)} experiments -> {out / 'results.csv'}")
+            simulated = list(pool.imap(_run_task, tasks, chunksize=8))
+    records = [
+        dataclasses.replace(rec, method=method, sram_id=fmap.sram_id, voltage_mv=fmap.voltage_mv,
+                            fault_count=fmap.fault_count)
+        for rec, maps in zip(simulated, fan_out) for method, fmap in maps
+    ]
+    _write_atomic(out / "results.csv", records_to_csv(records).encode("utf-8"))
+    print(f"ran {len(records)} experiments ({len(simulated)} simulated) -> {out / 'results.csv'}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +218,7 @@ def cmd_run(cfg: CampaignConfig, out: Path) -> None:
 
 
 def cmd_report(results_path: Path, out: Path) -> None:
-    records = records_from_csv(results_path.read_text(encoding="utf-8"))
+    records = records_from_csv(_read_text(results_path, str(results_path)))
     if not records:
         raise RuntimeError(f"no experiment records in {results_path}")
     names = write_reports(records, out / "report")

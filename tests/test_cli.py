@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -5,16 +6,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from voltfi import cli, harness
 from voltfi.cli import INDEX_HEADER, main, read_index
-from voltfi.config import ConfigError, load_config, parse_config_text
+from voltfi.config import METHOD_BY_TOKEN, ConfigError, load_config, parse_config_text
 from voltfi.faultmap import (
     BitLocation,
+    CorruptionKind,
     FaultMap,
     FaultSpec,
+    FaultTiming,
     SramGeometry,
     parse_fault_map,
     serialize_fault_map,
 )
+from voltfi.workloads import WorkloadConfig
 
 SRAM = SramGeometry()
 
@@ -224,6 +229,19 @@ def two_fault_map(sram_id="s00", voltage=540):
                     (FaultSpec(BitLocation(100, 3)), FaultSpec(BitLocation(101, 3))))
 
 
+RUN_FAULTS = (
+    *(FaultSpec(BitLocation(r, 3), kind=CorruptionKind.STUCK_AT_1) for r in range(96, 104)),
+    FaultSpec(BitLocation(120, 40)),
+)
+
+
+def hw_and_rnd_of_one_fault_set(hw_id="s00", rnd_id="s01"):
+    """An HW fault set at 540 and 550 mV and an RND map of the same faults, without onsets."""
+    hw = [FaultMap(hw_id, v, SRAM, tuple(FaultSpec(f.location, f.timing, f.kind, 560) for f in RUN_FAULTS))
+          for v in (540, 550)]
+    return [("hw", hw[0]), ("hw", hw[1]), ("rnd", FaultMap(rnd_id, 540, SRAM, RUN_FAULTS))]
+
+
 def test_run_single_map_both_methods_two_rows(tmp_path):
     out = tmp_path / "out"
     synth_corpus(out, [("hw", two_fault_map()), ("rnd", two_fault_map())])
@@ -268,12 +286,132 @@ def test_run_rerun_is_byte_identical(tmp_path):
 
 def test_run_parallel_matches_serial(tmp_path):
     out = tmp_path / "out"
-    synth_corpus(out, [("hw", two_fault_map()), ("rnd", two_fault_map("s01", 550))])
+    synth_corpus(out, [("hw", two_fault_map()), ("rnd", two_fault_map("s01", 550)),
+                       *hw_and_rnd_of_one_fault_set("s10", "s11")])
     cfg = write_config(tmp_path, "campaign.benchmarks = sobel,blackscholes\n")
     assert main(["--config", cfg, "--out", str(out), "--jobs", "1", "run"]) == 0
     serial = (out / "results.csv").read_bytes()
+    (out / "results.csv").unlink()
     assert main(["--config", cfg, "--out", str(out), "--jobs", "2", "run"]) == 0
     assert (out / "results.csv").read_bytes() == serial
+
+
+def test_non_utf8_map_names_its_file_and_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    synth_corpus(out, [("hw", two_fault_map())])
+    path = out / "maps" / "s00" / "hw_540.fm"
+    path.write_bytes(path.read_bytes().replace(b"sram_id=s00", b"sram_id=s\xff0"))
+    assert main(["--out", str(out), "run"]) == 2
+    assert "error: maps/s00/hw_540.fm line 2: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_index_names_its_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "index.csv").write_bytes(f"{INDEX_HEADER}\nhw,s00,540,2,a.fm\nhw,s\xff0,550,2,b.fm\n".encode("latin-1"))
+    assert main(["--out", str(out), "run"]) == 2
+    assert "error: index.csv line 3: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_results_names_its_line(tmp_path, capsys):
+    bad = tmp_path / "results.csv"
+    bad.write_bytes(FIXTURE_CSV.replace("sobel,HW_FI,s2", "sobel,HW_FI,s\xff").encode("latin-1"))
+    assert main(["--out", str(tmp_path), "report", str(bad)]) == 2
+    assert f"error: {bad} line 4: not valid UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
+def test_failed_run_keeps_the_previous_results(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    synth_corpus(out, [("hw", two_fault_map())])
+    cfg = write_config(tmp_path, "campaign.benchmarks = sobel\n")
+    assert main(["--config", cfg, "--out", str(out), "run"]) == 0
+    first = (out / "results.csv").read_bytes()
+    listing = sorted(p.relative_to(out) for p in out.rglob("*"))
+
+    def no_rename(src, dst):
+        raise OSError("rename failed")
+
+    # a write cut before its rename leaves neither a changed results.csv nor a temp file
+    with monkeypatch.context() as m:
+        m.setattr(cli.os, "replace", no_rename)
+        more = tmp_path / "more.cfg"
+        more.write_text("campaign.benchmarks = sobel,jacobi\n")
+        assert main(["--config", str(more), "--out", str(out), "run"]) == 2
+    assert (out / "results.csv").read_bytes() == first
+    assert sorted(p.relative_to(out) for p in out.rglob("*")) == listing
+    (out / "maps" / "s00" / "hw_540.fm").write_text("# sram-fault-map v1\nsram_id=s00\n")
+    assert main(["--config", cfg, "--out", str(out), "run"]) == 2
+    assert (out / "results.csv").read_bytes() == first
+    assert sorted(p.relative_to(out) for p in out.rglob("*")) == listing
+
+
+# ---------------------------------------------------------------------------
+# run: one simulation per distinct fault set
+# ---------------------------------------------------------------------------
+
+
+def count_simulations(monkeypatch):
+    calls = []
+    real = cli.run_experiment
+
+    def counted(benchmark, config, fmap, *args):
+        calls.append((benchmark, fmap.sram_id, fmap.voltage_mv))
+        return real(benchmark, config, fmap, *args)
+
+    monkeypatch.setattr(cli, "run_experiment", counted)
+    return calls
+
+
+def test_one_fault_set_is_simulated_once_per_benchmark(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    synth_corpus(out, hw_and_rnd_of_one_fault_set())
+    cfg = write_config(tmp_path, "campaign.benchmarks = sobel,blackscholes\n")
+    calls = count_simulations(monkeypatch)
+    assert main(["--config", cfg, "--out", str(out), "--jobs", "1", "run"]) == 0
+    assert sorted(b for b, *_ in calls) == ["blackscholes", "sobel"]
+    assert "ran 6 experiments (2 simulated) -> " in capsys.readouterr().out
+    rows = [line.split(",") for line in (out / "results.csv").read_text().strip().split("\n")[1:]]
+    assert [r[:5] for r in rows if r[0] == "sobel"] == [
+        ["sobel", "HW_FI", "s00", "540", "9"],
+        ["sobel", "HW_FI", "s00", "550", "9"],
+        ["sobel", "RND_FI", "s01", "540", "9"],
+    ]
+    assert {r[5] for r in rows} == {"sdc"}
+    for b in ("sobel", "blackscholes"):
+        assert len({tuple(r[5:]) for r in rows if r[0] == b}) == 1
+
+
+def test_memoised_run_matches_every_experiment_run_directly(tmp_path):
+    out = tmp_path / "out"
+    maps = [*hw_and_rnd_of_one_fault_set(), ("hw", two_fault_map("s02")), ("rnd", two_fault_map("s02"))]
+    synth_corpus(out, maps)
+    cfg_path = write_config(tmp_path, "campaign.benchmarks = sobel,jacobi,dct\nworkload.seed = 3\n")
+    assert main(["--config", cfg_path, "--out", str(out), "--jobs", "1", "run"]) == 0
+    cfg = load_config(cfg_path)
+    geometry = cfg.cache_geometry()
+    records = []
+    for b in cfg.benchmarks:
+        wcfg = WorkloadConfig(b, seed=cfg.workload_seed, step_budget=cfg.step_budget)
+        golden = harness.golden_run(b, wcfg, geometry)
+        for method, fmap in maps:
+            records.append(harness.run_experiment(b, wcfg, fmap, METHOD_BY_TOKEN[method], golden, geometry))
+    assert (out / "results.csv").read_text() == harness.records_to_csv(records)
+
+
+@pytest.mark.parametrize("change", [
+    {"kind": CorruptionKind.STUCK_AT_0},
+    {"timing": FaultTiming.transient(5)},
+])
+def test_maps_that_differ_in_one_fault_are_simulated_apart(tmp_path, monkeypatch, change):
+    base = (FaultSpec(BitLocation(100, 3), kind=CorruptionKind.STUCK_AT_1), FaultSpec(BitLocation(120, 40)))
+    out = tmp_path / "out"
+    synth_corpus(out, [("hw", FaultMap("s00", 540, SRAM, base)),
+                       ("hw", FaultMap("s00", 550, SRAM, (dataclasses.replace(base[0], **change), base[1])))])
+    cfg = write_config(tmp_path, "campaign.benchmarks = sobel\n")
+    calls = count_simulations(monkeypatch)
+    assert main(["--config", cfg, "--out", str(out), "--jobs", "1", "run"]) == 0
+    assert sorted(calls) == [("sobel", "s00", 540), ("sobel", "s00", 550)]
 
 
 # ---------------------------------------------------------------------------
