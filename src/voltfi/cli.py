@@ -20,7 +20,6 @@ from .config import METHOD_BY_TOKEN, CampaignConfig, ConfigError, load_config
 from .faultmap import (
     VOLTAGE_SWEEP_MV,
     FaultMap,
-    FaultMapFormatError,
     generate_corpus,
     match_random_map,
     parse_fault_map,
@@ -105,51 +104,53 @@ def _write_atomic(path: Path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _read_text(path: Path, name: str) -> str:
-    """path as UTF-8 text with universal newlines; a bad byte fails naming name and its line."""
+def _read(path: Path, name: str, parse=str):
+    """parse of path's UTF-8 text, with universal newlines; a content error names name and its line."""
     data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
+        return parse(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except UnicodeDecodeError as e:
-        line = data[:e.start].count(b"\n") + 1
-        raise RuntimeError(f"{name} line {line}: not valid UTF-8") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+        nl = b"\n"
+        raise ValueError(f"{name} line {data[:e.start].count(nl) + 1}: not valid UTF-8") from None
+    except ValueError as e:  # the parser's `line N: <reason>`
+        raise ValueError(f"{name} {e}") from None
 
 
-def read_index(out: Path) -> list[dict]:
-    text = _read_text(out / INDEX_NAME, INDEX_NAME)
+def _parse_index(text: str) -> list[dict]:
     lines = text.strip("\n").split("\n")
-    if not lines or lines[0] != INDEX_HEADER:
-        raise RuntimeError(f"{INDEX_NAME} line 1: bad header, expected {INDEX_HEADER!r}")
-    entries = []
-    for n, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise RuntimeError(f"{INDEX_NAME} line {n}: expected 5 fields, got {len(fields)}")
-        method, sram_id, voltage, count, path = fields
-        if method not in METHOD_BY_TOKEN:
-            raise RuntimeError(f"{INDEX_NAME} line {n}: unknown method {method!r}")
-        try:
-            voltage_mv, fault_count = int(voltage), int(count)
-        except ValueError:
-            raise RuntimeError(f"{INDEX_NAME} line {n}: voltage_mv and fault_count must be integers") from None
-        entries.append({
-            "method": method,
-            "sram_id": sram_id,
-            "voltage_mv": voltage_mv,
-            "fault_count": fault_count,
-            "path": path,
-        })
+    entries, first_line = [], {}  # path -> the line that lists it
+    n = 1  # the line being read
+    try:
+        if lines[0] != INDEX_HEADER:
+            raise ValueError(f"bad header, expected {INDEX_HEADER!r}")
+        for n, line in enumerate(lines[1:], start=2):
+            fields = line.split(",")
+            if len(fields) != 5:
+                raise ValueError(f"expected 5 fields, got {len(fields)}")
+            method, sram_id, voltage, count, path = fields
+            if method not in METHOD_BY_TOKEN:
+                raise ValueError(f"unknown method {method!r}")
+            try:
+                voltage_mv, fault_count = int(voltage), int(count)
+            except ValueError:
+                raise ValueError("voltage_mv and fault_count must be integers") from None
+            if path in first_line:
+                raise ValueError(f"{path} listed twice, first on line {first_line[path]}")
+            first_line[path] = n
+            entries.append({
+                "method": method,
+                "sram_id": sram_id,
+                "voltage_mv": voltage_mv,
+                "fault_count": fault_count,
+                "path": path,
+            })
+    except ValueError as e:
+        raise ValueError(f"line {n}: {e}") from None
     return entries
 
 
-def _read_map(root: Path, rel: str) -> FaultMap:
-    """The map at root/rel; a format error names the map by its index path."""
-    text = _read_text(root / rel, rel)
-    try:
-        return parse_fault_map(text)
-    except FaultMapFormatError as e:
-        raise FaultMapFormatError(f"{rel} {e}") from None
+def read_index(out: Path) -> list[dict]:
+    return _read(out / INDEX_NAME, INDEX_NAME, _parse_index)
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +181,22 @@ def _fault_set_key(fmap: FaultMap) -> tuple:
 
 
 def cmd_run(cfg: CampaignConfig, out: Path) -> None:
-    voltages = set(cfg.voltages)
+    voltages, capacity = set(cfg.voltages), cfg.cache_geometry().capacity_bits
     groups: dict[tuple, list[tuple[str, FaultMap]]] = {}  # fault set -> its (method, map)s
+    first_path: dict[tuple, str] = {}  # a results row's (method, sram_id, voltage_mv) -> its map
     for e in read_index(out):
         method = METHOD_BY_TOKEN[e["method"]]
         # only maps that manifest errors are simulated
         if e["fault_count"] < 1 or method not in cfg.methods or e["voltage_mv"] not in voltages:
             continue
-        fmap = _read_map(out, e["path"])
+        fmap = _read(out / e["path"], e["path"], parse_fault_map)
+        if fmap.geometry.capacity != capacity:  # rows= and cols= start on line 4
+            raise ValueError(f"{e['path']} line 4: fault map capacity {fmap.geometry.capacity} "
+                             f"!= cache capacity {capacity} bits")
+        row = (method, fmap.sram_id, fmap.voltage_mv)
+        if first_path.setdefault(row, e["path"]) != e["path"]:
+            raise ValueError(f"{e['path']} line 2: {method} {fmap.sram_id} at {fmap.voltage_mv} mV "
+                             f"repeats {first_path[row]}")
         groups.setdefault(_fault_set_key(fmap), []).append((method, fmap))
     # one simulation per (benchmark, fault set); its record is copied to every map of the set
     tasks, fan_out = [], []
@@ -195,9 +204,9 @@ def cmd_run(cfg: CampaignConfig, out: Path) -> None:
         for benchmark in cfg.benchmarks:
             tasks.append((benchmark, *maps[0]))
             fan_out.append(maps)
-    jobs = cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
+    jobs = min(cfg.jobs or os.cpu_count() or 1, len(tasks))  # a Pool starts every worker up front
     init_args = (cfg.cache_geometry(), cfg.workload_seed, cfg.step_budget)
-    if jobs == 1 or len(tasks) < 2:
+    if jobs < 2:
         _init_worker(*init_args)
         simulated = [_run_task(t) for t in tasks]
     else:
@@ -218,7 +227,7 @@ def cmd_run(cfg: CampaignConfig, out: Path) -> None:
 
 
 def cmd_report(results_path: Path, out: Path) -> None:
-    records = records_from_csv(_read_text(results_path, str(results_path)))
+    records = _read(results_path, str(results_path), records_from_csv)
     if not records:
         raise RuntimeError(f"no experiment records in {results_path}")
     names = write_reports(records, out / "report")
@@ -227,7 +236,8 @@ def cmd_report(results_path: Path, out: Path) -> None:
 
 def cmd_heatmap(corpus_dir: Path, out: Path, method: str) -> None:
     entries = read_index(corpus_dir)
-    maps = [_read_map(corpus_dir, e["path"]) for e in entries if method in ("all", e["method"])]
+    maps = [_read(corpus_dir / e["path"], e["path"], parse_fault_map)
+            for e in entries if method in ("all", e["method"])]
     if not maps:
         raise RuntimeError(f"no {method} maps found in {corpus_dir}")
     matrix = probability_heatmap(maps)
@@ -242,7 +252,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     try:
-        cfg = load_config(args.config, seed=args.seed, jobs=args.jobs)
+        text = _read(Path(args.config), args.config) if args.config else ""
+        cfg = load_config(text, seed=args.seed, jobs=args.jobs)
         if args.command == "genmaps":
             cmd_genmaps(cfg, out)
         elif args.command == "run":

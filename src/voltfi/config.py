@@ -165,20 +165,17 @@ def _parse(key: str, text: str, default):
         raise ConfigError(f"{key} must be {noun}, got {text!r}", key) from None
 
 
-def load_config(path: str | None = None, *, seed: int | None = None,
+def load_config(text: str = "", *, seed: int | None = None,
                 jobs: int | None = None) -> CampaignConfig:
-    """The CampaignConfig of the keys an optional config file sets, with CLI
-    flags overriding them; every other field keeps its default.
+    """The CampaignConfig of the keys that config text sets, with CLI flags
+    overriding them; every other field keeps its default.
 
-    A value error about keys set from the file starts with `line N:`."""
-    given: dict[str, tuple[str, int]] = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            given = parse_config_text(fh.read())
+    A value error about keys set in the text starts with `line N:`."""
     flags = {"corpus.seed": seed, "run.jobs": jobs}
-    given = {k: v for k, v in given.items() if flags.get(k) is None}  # a flag replaces the key and its line
+    # a flag replaces the key and its line
+    given = {k: v for k, v in parse_config_text(text).items() if flags.get(k) is None}
     try:
-        fields = {_FIELDS[k]: _parse(k, text, getattr(CampaignConfig, _FIELDS[k])) for k, (text, _) in given.items()}
+        fields = {_FIELDS[k]: _parse(k, value, getattr(CampaignConfig, _FIELDS[k])) for k, (value, _) in given.items()}
         fields.update((_FIELDS[k], v) for k, v in flags.items() if v is not None)
         return CampaignConfig(**fields)
     except ConfigError as e:  # name the first file line of the keys at fault

@@ -45,16 +45,6 @@ FORMAT_MAGIC = "# sram-fault-map v1"
 _ID_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 
 
-class FaultMapFormatError(ValueError):
-    """Raised for malformed fault-map text; carries the 1-based line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
 @dataclass(frozen=True)
 class SramGeometry:
     """Bit layout of one SRAM instance as a rows x cols grid."""
@@ -335,7 +325,7 @@ def _parse_fault(raw: str) -> FaultSpec:
 
 
 def parse_fault_map(text: str) -> FaultMap:
-    """Parse v1 fault-map text; errors carry the offending line number.
+    """Parse v1 fault-map text; an error is a ValueError('line N: <reason>').
 
     The types own the checks: a value they reject fails with the line that
     holds it."""
@@ -343,7 +333,7 @@ def parse_fault_map(text: str) -> FaultMap:
     if lines and lines[-1] == "":
         lines.pop()
     if len(lines) < 5:
-        raise FaultMapFormatError("truncated header (need magic + 4 keys)", len(lines) + 1)
+        raise ValueError(f"line {len(lines) + 1}: truncated header (need magic + 4 keys)")
     i = 1  # the line being read
     try:
         if lines[0] != FORMAT_MAGIC:
@@ -364,7 +354,7 @@ def parse_fault_map(text: str) -> FaultMap:
             _check_location(f.location, geo, seen)
             faults.append(f)
     except ValueError as e:
-        raise FaultMapFormatError(str(e), i) from None
+        raise ValueError(f"line {i}: {e}") from None
     return FaultMap(sram_id, voltage, geo, tuple(faults))
 
 

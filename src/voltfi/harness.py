@@ -92,7 +92,7 @@ def golden_run(benchmark: str, config: WorkloadConfig,
     """Zero-fault reference run; crashing here is a hard failure."""
     result = run_workload(config, fault_map=None, cache_geometry=cache_geometry)
     if result.is_crash:
-        raise GoldenRunError(f"golden run of {benchmark} crashed: {result.crash_reason}")
+        raise GoldenRunError(f"golden run of {benchmark} crashed: {result.crash_reason.value}")
     return result
 
 
@@ -280,51 +280,44 @@ def records_to_csv(records) -> str:
     return "\n".join(out) + "\n"
 
 
-class ResultsFormatError(ValueError):
-    def __init__(self, message: str, row: int | None = None):
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
-        self.row = row
-
-
 def records_from_csv(text: str) -> list[ExperimentRecord]:
-    """Parse a results CSV; raises ResultsFormatError with the row number."""
+    """Parse a results CSV; an error is a ValueError('line N: <reason>')."""
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ResultsFormatError("empty results file") from None
-    if ",".join(header) != RESULTS_HEADER:
-        raise ResultsFormatError(f"bad header, expected {RESULTS_HEADER!r}", 1)
     outcomes = {o.value: o for o in Outcome}
-    records = []
-    for i, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 8:
-            raise ResultsFormatError(f"expected 8 fields, got {len(row)}", i)
-        bench, method, sram_id, voltage, count, outcome, metric, quality = row
-        if method not in METHODS:
-            raise ResultsFormatError(f"unknown method {method!r}", i)
-        if outcome not in outcomes:
-            raise ResultsFormatError(f"unknown outcome {outcome!r}", i)
-        try:
-            voltage_i = int(voltage)
-            count_i = int(count)
-        except ValueError:
-            raise ResultsFormatError("voltage_mv and fault_count must be integers", i) from None
-        qv = None
-        if outcomes[outcome] is Outcome.SDC:
+    records, first_line = [], {}  # (benchmark, method, sram_id, voltage_mv) -> its line
+    i = 1  # the line being read
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty results file")
+        if ",".join(header) != RESULTS_HEADER:
+            raise ValueError(f"bad header, expected {RESULTS_HEADER!r}")
+        for i, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 8:
+                raise ValueError(f"expected 8 fields, got {len(row)}")
+            bench, method, sram_id, voltage, count, outcome, metric, quality = row
+            if method not in METHODS:
+                raise ValueError(f"unknown method {method!r}")
+            if outcome not in outcomes:
+                raise ValueError(f"unknown outcome {outcome!r}")
             try:
+                voltage_i = int(voltage)
+                count_i = int(count)
+            except ValueError:
+                raise ValueError("voltage_mv and fault_count must be integers") from None
+            qv = None
+            if outcomes[outcome] is Outcome.SDC:
                 qv = QualityValue(metric, float(quality))
-            except ValueError as e:
-                raise ResultsFormatError(str(e), i) from None
-        elif metric or quality:
-            raise ResultsFormatError("metric/quality must be empty unless outcome is sdc", i)
-        try:
+            elif metric or quality:
+                raise ValueError("metric/quality must be empty unless outcome is sdc")
+            key = (bench, method, sram_id, voltage_i)
+            if key in first_line:
+                raise ValueError(f"{bench},{method},{sram_id},{voltage_i} repeats line {first_line[key]}")
+            first_line[key] = i
             records.append(ExperimentRecord(bench, method, sram_id, voltage_i, count_i,
                                             outcomes[outcome], qv))
-        except ValueError as e:
-            raise ResultsFormatError(str(e), i) from None
+    except ValueError as e:
+        raise ValueError(f"line {i}: {e}") from None
     return records

@@ -139,6 +139,7 @@ def _violin_points(values, x_center, y0, height, half_width, bins=16):
     lo, hi = float(v.min()), float(v.max())
     if hi == lo:
         hi = lo + 1.0
+    hi = max(hi, lo + lo * 2.0 ** -40)  # 16 bins wider than the float spacing at a huge lo
     hist, edges = np.histogram(v, bins=bins, range=(lo, hi))
     peak = hist.max() if hist.max() > 0 else 1
     right = []

@@ -1,10 +1,17 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
+import re
+import tempfile
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voltfi import cli, harness
 from voltfi.cli import INDEX_HEADER, main, read_index
@@ -56,27 +63,24 @@ def write_config(tmp_path, text):
 
 
 def test_config_defaults_and_overrides():
-    cfg = load_config(None)
+    cfg = load_config()
     assert cfg.n_srams == 2060 and cfg.jobs == 0
     assert cfg.cache_geometry().capacity_bits == cfg.sram_geometry().capacity == 16384
     over = parse_config_text("corpus.n_srams = 99\n# comment\n\nrun.jobs = 4\n")
     assert over == {"corpus.n_srams": ("99", 1), "run.jobs": ("4", 4)}
 
 
-def test_config_rejects_unknown_and_bad_values(tmp_path):
+def test_config_rejects_unknown_and_bad_values():
     with pytest.raises(ConfigError):
         parse_config_text("corpus.bogus = 1\n")
     with pytest.raises(ConfigError):
         parse_config_text("just some text\n")
-    path = write_config(tmp_path, "corpus.n_srams = zero\n")
     with pytest.raises(ConfigError):
-        load_config(path)
-    path = write_config(tmp_path, "campaign.voltages = 540,555\n")
+        load_config("corpus.n_srams = zero\n")
     with pytest.raises(ConfigError):
-        load_config(path)
-    path = write_config(tmp_path, "cache.num_sets = 8\n")  # capacity mismatch
+        load_config("campaign.voltages = 540,555\n")
     with pytest.raises(ConfigError):
-        load_config(path)
+        load_config("cache.num_sets = 8\n")  # capacity mismatch
 
 
 @pytest.mark.parametrize("text, message", [
@@ -111,6 +115,14 @@ def test_flag_value_error_names_its_key(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_non_utf8_config_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "campaign.cfg"
+    cfg.write_bytes("corpus.n_srams = 3\n# caf\xe9\n".encode("latin-1"))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "genmaps"]) == 2
+    assert f"voltfi: error: {cfg} line 2: not valid UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -135,7 +147,16 @@ def test_report_malformed_row_exit_2(tmp_path, capsys):
         "sobel,HW_FI,s0,540,notanint,correct,,\n"
     )
     assert main(["--out", str(tmp_path), "report", str(bad)]) == 2
-    assert "row 2" in capsys.readouterr().err
+    assert f"voltfi: error: {bad} line 2: voltage_mv and fault_count must be integers" in capsys.readouterr().err
+
+
+def test_report_repeated_row_exit_2(tmp_path, capsys):
+    bad = tmp_path / "results.csv"
+    lines = FIXTURE_CSV.split("\n")
+    bad.write_text("\n".join([*lines[:4], lines[2].replace(",30", ",31"), *lines[4:]]))
+    assert main(["--out", str(tmp_path), "report", str(bad)]) == 2
+    assert f"voltfi: error: {bad} line 5: sobel,HW_FI,s1,540 repeats line 3" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
 
 
 def run_with_index_line(tmp_path, line):
@@ -168,6 +189,11 @@ def test_index_non_integer_voltage_or_count_exit_2(tmp_path, capsys):
 def test_index_unknown_method_exit_2(tmp_path, capsys):
     assert run_with_index_line(tmp_path, "sw,s00,540,2,maps/s00/sw_540.fm") == 2
     assert "index.csv line 3: unknown method 'sw'" in capsys.readouterr().err
+
+
+def test_index_repeated_path_exit_2(tmp_path, capsys):
+    assert run_with_index_line(tmp_path, "hw,s00,540,2,maps/s00/hw_540.fm") == 2
+    assert "error: index.csv line 3: maps/s00/hw_540.fm listed twice, first on line 2" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +291,31 @@ def test_map_error_names_its_file(tmp_path, capsys, command):
     assert "error: maps/s00/hw_540.fm line 6: fault location" in err and "outside 128x128" in err
 
 
+def test_map_geometry_unlike_the_cache_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    synth_corpus(out, [("hw", two_fault_map()),
+                       ("hw", FaultMap("s01", 540, SramGeometry(128, 64), (FaultSpec(BitLocation(1, 2)),)))])
+    calls = count_simulations(monkeypatch)
+    assert main(["--out", str(out), "--jobs", "1", "run"]) == 2
+    assert ("voltfi: error: maps/s01/hw_540.fm line 4: fault map capacity 8192 != cache capacity 16384 bits"
+            in capsys.readouterr().err)
+    assert calls == []
+
+
+def test_two_maps_of_one_results_row_fail_before_any_run(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    synth_corpus(out, [("hw", two_fault_map()), ("hw", two_fault_map(voltage=550))])
+    maps = out / "maps" / "s00"
+    (maps / "copy.fm").write_bytes((maps / "hw_540.fm").read_bytes())
+    index = out / "index.csv"
+    index.write_text(index.read_text() + "hw,s00,540,2,maps/s00/copy.fm\n")
+    calls = count_simulations(monkeypatch)
+    assert main(["--out", str(out), "--jobs", "1", "run"]) == 2
+    assert ("voltfi: error: maps/s00/copy.fm line 2: HW_FI s00 at 540 mV repeats maps/s00/hw_540.fm"
+            in capsys.readouterr().err)
+    assert calls == [] and not (out / "results.csv").exists()
+
+
 def test_run_skips_empty_maps(tmp_path):
     out = tmp_path / "out"
     synth_corpus(out, [("hw", FaultMap("s00", 540, SRAM))])
@@ -293,6 +344,59 @@ def test_run_parallel_matches_serial(tmp_path):
     serial = (out / "results.csv").read_bytes()
     (out / "results.csv").unlink()
     assert main(["--config", cfg, "--out", str(out), "--jobs", "2", "run"]) == 0
+    assert (out / "results.csv").read_bytes() == serial
+
+
+def fake_pool(monkeypatch):
+    """Pool sizes asked of an in-process stand-in for multiprocessing.Pool.
+
+    Its imap keeps the task order and its imap_unordered reverses it; it
+    starts no process."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, list(tasks))
+
+        def imap_unordered(self, fn, tasks, chunksize=1):
+            return map(fn, list(tasks)[::-1])
+
+    monkeypatch.setattr(cli, "multiprocessing", types.SimpleNamespace(Pool=Pool))
+    return sizes
+
+
+def test_pool_is_no_larger_than_the_task_count(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    synth_corpus(out, [("hw", two_fault_map())])
+    cfg = write_config(tmp_path, "campaign.benchmarks = sobel,blackscholes\n")  # two tasks
+    sizes = fake_pool(monkeypatch)
+    assert main(["--config", cfg, "--out", str(out), "--jobs", "64", "run"]) == 0
+    assert sizes == [2]
+
+
+def test_pool_records_line_up_with_their_fault_sets(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    synth_corpus(out, [("hw", two_fault_map()), *hw_and_rnd_of_one_fault_set("s10", "s11")])
+    cfg = write_config(tmp_path, "campaign.benchmarks = sobel,blackscholes\n")
+    assert main(["--config", cfg, "--out", str(out), "--jobs", "1", "run"]) == 0
+    serial = (out / "results.csv").read_bytes()
+    rows = [line.split(",") for line in serial.decode().strip().split("\n")[1:]]
+    for b in ("sobel", "blackscholes"):  # the two fault sets give each benchmark two different records
+        assert len({tuple(r[5:]) for r in rows if r[0] == b}) == 2
+    (out / "results.csv").unlink()
+    sizes = fake_pool(monkeypatch)
+    assert main(["--config", cfg, "--out", str(out), "--jobs", "2", "run"]) == 0
+    assert sizes == [2]
     assert (out / "results.csv").read_bytes() == serial
 
 
@@ -388,7 +492,7 @@ def test_memoised_run_matches_every_experiment_run_directly(tmp_path):
     synth_corpus(out, maps)
     cfg_path = write_config(tmp_path, "campaign.benchmarks = sobel,jacobi,dct\nworkload.seed = 3\n")
     assert main(["--config", cfg_path, "--out", str(out), "--jobs", "1", "run"]) == 0
-    cfg = load_config(cfg_path)
+    cfg = load_config(Path(cfg_path).read_text())
     geometry = cfg.cache_geometry()
     records = []
     for b in cfg.benchmarks:
@@ -454,6 +558,24 @@ def test_report_from_fixture(tmp_path):
     assert "sobel,HW_FI,30" in values and "kmeans,RND_FI,87.5" in values
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_cr_files_read_as_lf(tmp_path, newline):
+    lf = tmp_path / "lf.csv"
+    lf.write_bytes(FIXTURE_CSV.encode())
+    other = tmp_path / "other.csv"
+    other.write_bytes(FIXTURE_CSV.replace("\n", newline).encode())
+    assert main(["--out", str(tmp_path / "a"), "report", str(lf)]) == 0
+    assert main(["--out", str(tmp_path / "b"), "report", str(other)]) == 0
+    assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
+
+
+def test_report_of_one_huge_quality(tmp_path):
+    results = tmp_path / "results.csv"
+    results.write_text(FIXTURE_CSV + "dct,HW_FI,s1,540,2,sdc,psnr_db,1e30\n")
+    assert main(["--out", str(tmp_path), "report", str(results)]) == 0
+    assert ET.fromstring((tmp_path / "report" / "quality.svg").read_bytes()).tag.endswith("svg")
+
+
 def test_report_svgs_valid_and_deterministic(tmp_path):
     results = tmp_path / "results.csv"
     results.write_text(FIXTURE_CSV)
@@ -497,3 +619,113 @@ def test_heatmap_hw_bottom_heavy_rnd_flat(tmp_path):
     rnd_rows = rnd_img.mean(axis=1)
     # rnd maps match hw counts but spread uniformly: no bottom-quartile bias
     assert rnd_rows[96:].mean() < 2 * rnd_rows[:96].mean()
+
+
+# ---------------------------------------------------------------------------
+# every input kind, mutated
+# ---------------------------------------------------------------------------
+
+BAD_TOKENS = ("", "-1", "9" * 30, "nan", "inf", "\u00e9")
+
+
+@st.composite
+def mutants(draw, text):
+    """text with one line deleted, duplicated or swapped with another, or one token replaced."""
+    lines = text.rstrip("\n").split("\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    op = draw(st.sampled_from(("delete", "duplicate", "swap", "token")))
+    if op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        parts = re.split(r"([ ,=:])", lines[i])  # tokens at even indices, separators between them
+        parts[2 * draw(st.integers(0, len(parts) // 2))] = draw(st.sampled_from(BAD_TOKENS))
+        lines[i] = "".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def main_on_mutant(argv, name, *also):
+    """main's exit code on argv; any failure must name `<name> line N:` or match a pattern of also."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)  # raises nothing
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    if code:
+        forms = [re.escape(f"{name} line ".lstrip()) + r"\d+: ", *also]
+        assert any(re.search(f"^voltfi: (config )?error: {form}", err, re.M) for form in forms), err
+    return code
+
+
+FUZZ_CONFIG = """corpus.n_srams = 3
+corpus.seed = 7
+corpus.faulty_fraction = 0.5
+corpus.rows = 128
+corpus.cols = 128
+spatial.mean_run_length = 4.0
+spatial.gap_probability = 0.2
+spatial.outlier_probability = 0.05
+cache.num_sets = 16
+cache.associativity = 2
+cache.line_bytes = 64
+campaign.benchmarks = sobel,mc
+campaign.methods = hw,rnd
+campaign.voltages = 540,550
+workload.seed = 0
+workload.step_budget = 5000000
+run.jobs = 1
+"""
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutants(FUZZ_CONFIG))
+def test_mutated_config_fails_with_its_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, results = Path(tmp) / "campaign.cfg", Path(tmp) / "results.csv"
+        cfg.write_text(text, encoding="utf-8")
+        results.write_text(FIXTURE_CSV)
+        # a config error names only its line: the config is the one file, and a flag has none
+        assert main_on_mutant(["--config", str(cfg), "--out", tmp, "report", str(results)], "") != 2
+
+
+def fuzz_corpus(out):
+    synth_corpus(out, [("hw", two_fault_map()), ("rnd", two_fault_map("s01")),
+                       ("hw", FaultMap("s00", 550, SRAM, (FaultSpec(BitLocation(7, 9), FaultTiming.intermittent(3, 4),
+                                                                    CorruptionKind.BIT_FLIP, 570),)))])
+    (out / "sobel.cfg").write_text("campaign.benchmarks = sobel\n")
+    return ["--config", str(out / "sobel.cfg"), "--out", str(out), "--jobs", "1", "run"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_mutated_index_fails_with_its_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = fuzz_corpus(Path(tmp))
+        index = Path(tmp) / "index.csv"
+        index.write_text(data.draw(mutants(index.read_text())), encoding="utf-8")
+        # a path that names no file is an I/O error, not an error of the index's content
+        main_on_mutant(argv, "index.csv", r"\[Errno \d+\] ")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_mutated_map_fails_with_its_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = fuzz_corpus(Path(tmp))
+        name = data.draw(st.sampled_from(("maps/s00/hw_540.fm", "maps/s01/rnd_540.fm", "maps/s00/hw_550.fm")))
+        path = Path(tmp) / name
+        path.write_text(data.draw(mutants(path.read_text())), encoding="utf-8")
+        main_on_mutant(argv, name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutants(FIXTURE_CSV))
+def test_mutated_results_fail_with_their_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        results = Path(tmp) / "results.csv"
+        results.write_text(text, encoding="utf-8")
+        assert main_on_mutant(["--out", tmp, "report", str(results)], str(results)) != 1
