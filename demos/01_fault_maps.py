@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from voltfi import (
+from voltfi.faultmap import (
+    FaultCountDistribution,
     FaultMap,
     SpatialParams,
     SramGeometry,
@@ -16,7 +17,6 @@ from voltfi import (
     match_random_map,
     serialize_fault_map,
 )
-from voltfi.faultmap import FaultCountDistribution
 from voltfi.pgm import encode_pgm
 
 out_dir = Path(__file__).parent

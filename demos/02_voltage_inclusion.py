@@ -5,15 +5,15 @@ voltage of the 540..600 mV sweep keeps the inclusion property: every bit
 faulty at some voltage is faulty at all lower voltages.
 """
 
-from voltfi import (
+from voltfi.faultmap import (
+    VOLTAGE_SWEEP_MV,
+    FaultCountDistribution,
     SpatialParams,
     SramGeometry,
-    VOLTAGE_SWEEP_MV,
     derive_map_at_voltage,
     generate_hwlike_sram,
     probability_heatmap,
 )
-from voltfi.faultmap import FaultCountDistribution
 
 geometry = SramGeometry()
 params = SpatialParams(count_dist=FaultCountDistribution.point_mass(24))

@@ -5,18 +5,8 @@ that touches a faulty line gets the active faults applied to the stored
 bytes, and dirty evictions carry the corruption into the backing store.
 """
 
-from voltfi import (
-    BitLocation,
-    CacheGeometry,
-    CacheModel,
-    CorruptionKind,
-    FaultMap,
-    FaultSpec,
-    FaultTiming,
-    MainMemory,
-    SramGeometry,
-    map_fault_to_cache,
-)
+from voltfi.cachesim import CacheGeometry, CacheModel, MainMemory, map_fault_to_cache
+from voltfi.faultmap import BitLocation, CorruptionKind, FaultMap, FaultSpec, FaultTiming, SramGeometry
 
 sram = SramGeometry()
 geo = CacheGeometry()

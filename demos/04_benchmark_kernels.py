@@ -6,19 +6,9 @@ yields an SDC with a measurable quality hit, or a crash when the fault
 lands on one of the pointer tables.
 """
 
-from voltfi import (
-    FaultMap,
-    Outcome,
-    SpatialParams,
-    SramGeometry,
-    WorkloadConfig,
-    classify,
-    generate_hwlike_sram,
-    golden_run,
-    run_experiment,
-)
-from voltfi.faultmap import FaultCountDistribution
-from voltfi.workloads import BENCHMARKS
+from voltfi.faultmap import FaultCountDistribution, FaultMap, SpatialParams, SramGeometry, generate_hwlike_sram
+from voltfi.harness import Outcome, golden_run, run_experiment
+from voltfi.workloads import BENCHMARKS, WorkloadConfig
 
 geometry = SramGeometry()
 params = SpatialParams(count_dist=FaultCountDistribution.point_mass(12))

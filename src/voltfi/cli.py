@@ -29,6 +29,8 @@ from .faultmap import (
 from .harness import (
     format_quality,
     golden_run,
+    parse_counts,
+    parse_table,
     records_from_csv,
     records_to_csv,
     run_experiment,
@@ -116,41 +118,38 @@ def _read(path: Path, name: str, parse=str):
         raise ValueError(f"{name} {e}") from None
 
 
-def _parse_index(text: str) -> list[dict]:
-    lines = text.strip("\n").split("\n")
-    entries, first_line = [], {}  # path -> the line that lists it
-    n = 1  # the line being read
-    try:
-        if lines[0] != INDEX_HEADER:
-            raise ValueError(f"bad header, expected {INDEX_HEADER!r}")
-        for n, line in enumerate(lines[1:], start=2):
-            fields = line.split(",")
-            if len(fields) != 5:
-                raise ValueError(f"expected 5 fields, got {len(fields)}")
-            method, sram_id, voltage, count, path = fields
-            if method not in METHOD_BY_TOKEN:
-                raise ValueError(f"unknown method {method!r}")
-            try:
-                voltage_mv, fault_count = int(voltage), int(count)
-            except ValueError:
-                raise ValueError("voltage_mv and fault_count must be integers") from None
-            if path in first_line:
-                raise ValueError(f"{path} listed twice, first on line {first_line[path]}")
-            first_line[path] = n
-            entries.append({
-                "method": method,
-                "sram_id": sram_id,
-                "voltage_mv": voltage_mv,
-                "fault_count": fault_count,
-                "path": path,
-            })
-    except ValueError as e:
-        raise ValueError(f"line {n}: {e}") from None
-    return entries
+def _index_row(fields: list[str]) -> tuple[tuple, dict]:
+    method, sram_id, voltage, count, path = fields
+    if method not in METHOD_BY_TOKEN:
+        raise ValueError(f"unknown method {method!r}")
+    voltage_mv, fault_count = parse_counts(voltage, count)
+    entry = dict(zip(INDEX_HEADER.split(","), (method, sram_id, voltage_mv, fault_count, path)))
+    return (method, sram_id, voltage_mv), entry
 
 
 def read_index(out: Path) -> list[dict]:
-    return _read(out / INDEX_NAME, INDEX_NAME, _parse_index)
+    return _read(out / INDEX_NAME, INDEX_NAME, lambda text: parse_table(text, INDEX_HEADER, _index_row))
+
+
+def _read_maps(cfg: CampaignConfig, out: Path, keep) -> list[tuple[str, FaultMap]]:
+    """(method, map) of every index entry that keep selects. A map must agree
+    with its index line and with the config's SRAM geometry."""
+    geometry, maps = cfg.sram_geometry(), []
+    for n, e in enumerate(read_index(out), start=2):  # parse_table keeps no blank line
+        if not keep(e):
+            continue
+        fmap = _read(out / e["path"], e["path"], parse_fault_map)
+        said = f"{INDEX_NAME} line {n} says"
+        for line, what, got, want, source in (
+                (2, "sram_id=", fmap.sram_id, e["sram_id"], said),
+                (3, "voltage_mv=", fmap.voltage_mv, e["voltage_mv"], said),
+                (4, "rows=", fmap.geometry.rows, geometry.rows, "corpus.rows is"),
+                (5, "cols=", fmap.geometry.cols, geometry.cols, "corpus.cols is"),
+                (6, "fault count ", fmap.fault_count, e["fault_count"], said)):  # faults start on line 6
+            if got != want:
+                raise ValueError(f"{e['path']} line {line}: {what}{got} but {source} {want}")
+        maps.append((METHOD_BY_TOKEN[e["method"]], fmap))
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -181,23 +180,12 @@ def _fault_set_key(fmap: FaultMap) -> tuple:
 
 
 def cmd_run(cfg: CampaignConfig, out: Path) -> None:
-    voltages, capacity = set(cfg.voltages), cfg.cache_geometry().capacity_bits
+    voltages = set(cfg.voltages)
     groups: dict[tuple, list[tuple[str, FaultMap]]] = {}  # fault set -> its (method, map)s
-    first_path: dict[tuple, str] = {}  # a results row's (method, sram_id, voltage_mv) -> its map
-    for e in read_index(out):
-        method = METHOD_BY_TOKEN[e["method"]]
-        # only maps that manifest errors are simulated
-        if e["fault_count"] < 1 or method not in cfg.methods or e["voltage_mv"] not in voltages:
-            continue
-        fmap = _read(out / e["path"], e["path"], parse_fault_map)
-        if fmap.geometry.capacity != capacity:  # rows= and cols= start on line 4
-            raise ValueError(f"{e['path']} line 4: fault map capacity {fmap.geometry.capacity} "
-                             f"!= cache capacity {capacity} bits")
-        row = (method, fmap.sram_id, fmap.voltage_mv)
-        if first_path.setdefault(row, e["path"]) != e["path"]:
-            raise ValueError(f"{e['path']} line 2: {method} {fmap.sram_id} at {fmap.voltage_mv} mV "
-                             f"repeats {first_path[row]}")
-        groups.setdefault(_fault_set_key(fmap), []).append((method, fmap))
+    for method, fmap in _read_maps(cfg, out, lambda e: METHOD_BY_TOKEN[e["method"]] in cfg.methods
+                                   and e["voltage_mv"] in voltages):
+        if fmap.fault_count:  # only maps that manifest errors are simulated
+            groups.setdefault(_fault_set_key(fmap), []).append((method, fmap))
     # one simulation per (benchmark, fault set); its record is copied to every map of the set
     tasks, fan_out = [], []
     for maps in groups.values():
@@ -234,10 +222,8 @@ def cmd_report(results_path: Path, out: Path) -> None:
     print(f"wrote {', '.join(names)} under {out / 'report'}")
 
 
-def cmd_heatmap(corpus_dir: Path, out: Path, method: str) -> None:
-    entries = read_index(corpus_dir)
-    maps = [_read(corpus_dir / e["path"], e["path"], parse_fault_map)
-            for e in entries if method in ("all", e["method"])]
+def cmd_heatmap(cfg: CampaignConfig, corpus_dir: Path, out: Path, method: str) -> None:
+    maps = [fmap for _, fmap in _read_maps(cfg, corpus_dir, lambda e: method in ("all", e["method"]))]
     if not maps:
         raise RuntimeError(f"no {method} maps found in {corpus_dir}")
     matrix = probability_heatmap(maps)
@@ -261,7 +247,7 @@ def main(argv=None) -> int:
         elif args.command == "report":
             cmd_report(Path(args.results) if args.results else out / "results.csv", out)
         else:
-            cmd_heatmap(Path(args.corpus) if args.corpus else out, out, args.method)
+            cmd_heatmap(cfg, Path(args.corpus) if args.corpus else out, out, args.method)
     except ConfigError as e:
         print(f"voltfi: config error: {e}", file=sys.stderr)
         return 1

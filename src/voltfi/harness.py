@@ -9,8 +9,6 @@ the reports.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -280,44 +278,60 @@ def records_to_csv(records) -> str:
     return "\n".join(out) + "\n"
 
 
+def parse_table(text: str, header: str, row) -> list:
+    """The values of the comma-separated table with header on line 1; an error is a
+    ValueError('line N: <reason>'). row(fields) gives each row's (key, value), and no
+    key may repeat. Commas always split, with no quoting, and the final newline is
+    optional: any other blank line is a row with the wrong field count."""
+    lines = text.removesuffix("\n").split("\n")
+    width = header.count(",") + 1
+    values, first_line = [], {}  # key -> the line that gives it
+    n = 1  # the line being read
+    try:
+        if lines[:1] != [header]:
+            raise ValueError(f"bad header, expected {header!r}")
+        for n, line in enumerate(lines[1:], start=2):
+            fields = line.split(",")
+            if len(fields) != width:
+                raise ValueError(f"expected {width} fields, got {len(fields)}")
+            key, value = row(fields)
+            if key in first_line:
+                raise ValueError(f"{','.join(map(str, key))} repeats line {first_line[key]}")
+            first_line[key] = n
+            values.append(value)
+    except ValueError as e:
+        raise ValueError(f"line {n}: {e}") from None
+    return values
+
+
+def parse_counts(voltage: str, count: str) -> tuple[int, int]:
+    """The voltage_mv and fault_count fields of a table row."""
+    try:
+        return int(voltage), int(count)
+    except ValueError:
+        raise ValueError("voltage_mv and fault_count must be integers") from None
+
+
+def _record_row(fields: list[str]) -> tuple[tuple, ExperimentRecord]:
+    bench, method, sram_id, voltage, count, outcome, metric, quality = fields
+    if bench not in METRIC_BY_BENCHMARK:
+        raise ValueError(f"unknown benchmark {bench!r}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if outcome not in {o.value for o in Outcome}:
+        raise ValueError(f"unknown outcome {outcome!r}")
+    voltage_mv, fault_count = parse_counts(voltage, count)
+    qv = None
+    if outcome == Outcome.SDC.value:
+        if metric != METRIC_BY_BENCHMARK[bench]:
+            raise ValueError(f"{bench} quality is {METRIC_BY_BENCHMARK[bench]}, not {metric!r}")
+        qv = QualityValue(metric, float(quality))
+    elif metric or quality:
+        raise ValueError("metric/quality must be empty unless outcome is sdc")
+    return ((bench, method, sram_id, voltage_mv),
+            ExperimentRecord(bench, method, sram_id, voltage_mv, fault_count, Outcome(outcome), qv))
+
+
 def records_from_csv(text: str) -> list[ExperimentRecord]:
     """Parse a results CSV; an error is a ValueError('line N: <reason>')."""
-    reader = csv.reader(io.StringIO(text))
-    outcomes = {o.value: o for o in Outcome}
-    records, first_line = [], {}  # (benchmark, method, sram_id, voltage_mv) -> its line
-    i = 1  # the line being read
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty results file")
-        if ",".join(header) != RESULTS_HEADER:
-            raise ValueError(f"bad header, expected {RESULTS_HEADER!r}")
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 8:
-                raise ValueError(f"expected 8 fields, got {len(row)}")
-            bench, method, sram_id, voltage, count, outcome, metric, quality = row
-            if method not in METHODS:
-                raise ValueError(f"unknown method {method!r}")
-            if outcome not in outcomes:
-                raise ValueError(f"unknown outcome {outcome!r}")
-            try:
-                voltage_i = int(voltage)
-                count_i = int(count)
-            except ValueError:
-                raise ValueError("voltage_mv and fault_count must be integers") from None
-            qv = None
-            if outcomes[outcome] is Outcome.SDC:
-                qv = QualityValue(metric, float(quality))
-            elif metric or quality:
-                raise ValueError("metric/quality must be empty unless outcome is sdc")
-            key = (bench, method, sram_id, voltage_i)
-            if key in first_line:
-                raise ValueError(f"{bench},{method},{sram_id},{voltage_i} repeats line {first_line[key]}")
-            first_line[key] = i
-            records.append(ExperimentRecord(bench, method, sram_id, voltage_i, count_i,
-                                            outcomes[outcome], qv))
-    except ValueError as e:
-        raise ValueError(f"line {i}: {e}") from None
-    return records
+    return parse_table(text, RESULTS_HEADER, _record_row)

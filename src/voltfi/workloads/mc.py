@@ -127,8 +127,9 @@ def run(cfg: WorkloadConfig, mem: SimMemory) -> int:
             charge(1)
             x = x0
             y = y0
-            # steps are charged to mem.ops once the walk ends; room is what the budget has left
-            room = budget - mem.ops
+            # steps are charged to mem.ops once the walk ends; the walk stops at the cap
+            # or at what the budget has left, whichever is less
+            limit = min(step_cap, budget - mem.ops)
             steps = 0
             while True:
                 d = x
@@ -140,11 +141,8 @@ def run(cfg: WorkloadConfig, mem: SimMemory) -> int:
                     d = 1.0 - y
                 if d < EPSILON:
                     break
-                if steps >= step_cap:
-                    mem.ops += steps
-                    raise CrashSignal(CrashReason.STEP_BUDGET_EXCEEDED)
-                if steps >= room:
-                    mem.ops += steps + 1
+                if steps >= limit:
+                    mem.ops += steps + (steps < step_cap)  # the budget counts the overrunning step, the cap does not
                     raise CrashSignal(CrashReason.STEP_BUDGET_EXCEEDED)
                 steps += 1
                 lane = ctr & 3

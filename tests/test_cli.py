@@ -193,7 +193,53 @@ def test_index_unknown_method_exit_2(tmp_path, capsys):
 
 def test_index_repeated_path_exit_2(tmp_path, capsys):
     assert run_with_index_line(tmp_path, "hw,s00,540,2,maps/s00/hw_540.fm") == 2
-    assert "error: index.csv line 3: maps/s00/hw_540.fm listed twice, first on line 2" in capsys.readouterr().err
+    assert "error: index.csv line 3: hw,s00,540 repeats line 2" in capsys.readouterr().err
+
+
+def index_table(tmp_path):
+    """index.csv of a two-map corpus, and the command that reads it."""
+    out = tmp_path / "out"
+    synth_corpus(out, [("hw", two_fault_map()), ("hw", two_fault_map(voltage=550))])
+    cfg = write_config(tmp_path, "campaign.benchmarks = sobel\n")
+    return out / "index.csv", "index.csv", ["--config", cfg, "--out", str(out), "--jobs", "1", "run"]
+
+
+def results_table(tmp_path):
+    """A results file, and the command that reads it."""
+    path = tmp_path / "results.csv"
+    path.write_text(FIXTURE_CSV)
+    return path, str(path), ["--out", str(tmp_path), "report", str(path)]
+
+
+def quote_first_field(line):
+    first, rest = line.split(",", 1)
+    return f'"{first}",{rest}'
+
+
+# case -> exit code and error after the file name, the same for both tables
+TABLE_CASES = {
+    "blank line inside": (2, r"line 3: expected \d+ fields, got 1"),
+    "quoted field": (2, r"line 2: unknown \w+ '\""),
+    "no final newline": (0, None),
+    "empty file": (2, r"line 1: bad header, expected "),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+@pytest.mark.parametrize("table", [index_table, results_table], ids=["index.csv", "results.csv"])
+def test_both_tables_follow_one_policy(tmp_path, capsys, table, case):
+    code, message = TABLE_CASES[case]
+    path, name, argv = table(tmp_path)
+    lines = path.read_text().split("\n")
+    path.write_text({
+        "blank line inside": "\n".join([*lines[:2], "", *lines[2:]]),
+        "quoted field": "\n".join([lines[0], quote_first_field(lines[1]), *lines[2:]]),
+        "no final newline": "\n".join(lines).rstrip("\n"),
+        "empty file": "",
+    }[case])
+    assert main(argv) == code
+    if message:
+        assert re.search(f"^voltfi: error: {re.escape(name)} {message}", capsys.readouterr().err, re.M)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +343,7 @@ def test_map_geometry_unlike_the_cache_fails_before_any_run(tmp_path, capsys, mo
                        ("hw", FaultMap("s01", 540, SramGeometry(128, 64), (FaultSpec(BitLocation(1, 2)),)))])
     calls = count_simulations(monkeypatch)
     assert main(["--out", str(out), "--jobs", "1", "run"]) == 2
-    assert ("voltfi: error: maps/s01/hw_540.fm line 4: fault map capacity 8192 != cache capacity 16384 bits"
-            in capsys.readouterr().err)
+    assert "voltfi: error: maps/s01/hw_540.fm line 5: cols=64 but corpus.cols is 128" in capsys.readouterr().err
     assert calls == []
 
 
@@ -311,8 +356,26 @@ def test_two_maps_of_one_results_row_fail_before_any_run(tmp_path, capsys, monke
     index.write_text(index.read_text() + "hw,s00,540,2,maps/s00/copy.fm\n")
     calls = count_simulations(monkeypatch)
     assert main(["--out", str(out), "--jobs", "1", "run"]) == 2
-    assert ("voltfi: error: maps/s00/copy.fm line 2: HW_FI s00 at 540 mV repeats maps/s00/hw_540.fm"
-            in capsys.readouterr().err)
+    assert "voltfi: error: index.csv line 4: hw,s00,540 repeats line 2" in capsys.readouterr().err
+    assert calls == [] and not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("maps/s00/hw_540.fm", "sram_id=s00", "sram_id=s09"),
+     "maps/s00/hw_540.fm line 2: sram_id=s09 but index.csv line 2 says s00"),
+    (("maps/s00/hw_540.fm", "voltage_mv=540", "voltage_mv=-1"),
+     "maps/s00/hw_540.fm line 3: voltage_mv=-1 but index.csv line 2 says 540"),
+    (("index.csv", "hw,s00,540,1,", "hw,s00,540,0,"),
+     "maps/s00/hw_540.fm line 6: fault count 1 but index.csv line 2 says 0"),
+], ids=["sram_id", "voltage_mv", "fault_count"])
+def test_map_that_disagrees_with_its_index_line_fails_before_any_run(tmp_path, capsys, monkeypatch, edit, message):
+    out = tmp_path / "out"
+    synth_corpus(out, [("hw", FaultMap("s00", 540, SRAM, (FaultSpec(BitLocation(100, 3)),)))])
+    name, old, new = edit
+    (out / name).write_text((out / name).read_text().replace(old, new))
+    calls = count_simulations(monkeypatch)
+    assert main(["--out", str(out), "--jobs", "1", "run"]) == 2
+    assert f"voltfi: error: {message}\n" in capsys.readouterr().err
     assert calls == [] and not (out / "results.csv").exists()
 
 
@@ -621,6 +684,21 @@ def test_heatmap_hw_bottom_heavy_rnd_flat(tmp_path):
     assert rnd_rows[96:].mean() < 2 * rnd_rows[:96].mean()
 
 
+@pytest.mark.parametrize("second, message", [
+    ("rows=" + "9" * 30, "maps/s01/hw_540.fm line 4: rows=" + "9" * 30 + " but corpus.rows is 128"),
+    ("cols=64", "maps/s01/hw_540.fm line 5: cols=64 but corpus.cols is 128"),
+], ids=["rows", "cols"])
+def test_heatmap_checks_each_map_against_the_config_geometry(tmp_path, capsys, second, message):
+    out = tmp_path / "out"
+    synth_corpus(out, [("hw", two_fault_map()), ("hw", two_fault_map("s01"))])
+    path = out / "maps" / "s01" / "hw_540.fm"
+    key = second.split("=")[0]
+    path.write_text(path.read_text().replace(f"{key}=128", second))
+    assert main(["--out", str(out), "heatmap"]) == 2
+    assert f"voltfi: error: {message}\n" in capsys.readouterr().err
+    assert not list(out.glob("heatmap_*"))
+
+
 # ---------------------------------------------------------------------------
 # every input kind, mutated
 # ---------------------------------------------------------------------------
@@ -707,8 +785,9 @@ def test_mutated_index_fails_with_its_line(data):
         argv = fuzz_corpus(Path(tmp))
         index = Path(tmp) / "index.csv"
         index.write_text(data.draw(mutants(index.read_text())), encoding="utf-8")
-        # a path that names no file is an I/O error, not an error of the index's content
-        main_on_mutant(argv, "index.csv", r"\[Errno \d+\] ")
+        # a path that names no file is an I/O error, not an error of the index's content;
+        # a map that disagrees with its index line names both lines
+        main_on_mutant(argv, "index.csv", r"\[Errno \d+\] ", r"\S+ line \d+: .+ but index\.csv line \d+ says ")
 
 
 @settings(max_examples=50, deadline=None)

@@ -300,6 +300,16 @@ def test_results_csv_round_trip_and_header():
     assert all(l.endswith(",,") for l in non_sdc)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("foo,RND_FI,s0,540,2,correct,,", "line 2: unknown benchmark 'foo'"),
+    ("sobel,HW_FI,s0,540,2,sdc,avg_rel_err,0.5", "line 2: sobel quality is psnr_db, not 'avg_rel_err'"),
+], ids=["benchmark", "metric"])
+def test_results_rows_need_a_known_benchmark_and_its_metric(row, message):
+    with pytest.raises(ValueError) as e:
+        records_from_csv(f"{RESULTS_HEADER}\n{row}\n")
+    assert str(e.value) == message
+
+
 def test_results_csv_error_rows():
     good = records_to_csv(fixture_records()).split("\n")
     bad = "\n".join([good[0], "sobel,HW_FI,s0,540,2,correct,", ""])

@@ -12,7 +12,7 @@ For each workload of BENCHMARK.json it runs `python3 benchmark/run.py
 as PAIRS pairs of one parent and one change run. The side that runs first
 alternates from pair to pair, and the seed rotates over SEEDS, so host
 drift and seed effects fall on both sides alike. Every run's end-to-end
-metrics and its correct/attempted/failed go to BENCH_19.json, with each
+metrics and its correct/attempted/failed go to BENCH_20.json, with each
 side's median and quartiles, the ratio of the medians, whether the medians
 differ by more than the parent's interquartile spread, and how many pairs
 the change won on each metric. The file is rewritten after every run, so
@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_19.json"
+OUT = ROOT / "BENCH_20.json"
 PAIRS = 10
 SEEDS = (5, 6, 7)
 
